@@ -256,7 +256,7 @@ impl IslFlow {
     // -- hardware co-simulation --------------------------------------------
 
     /// Certify an explored architecture instance end to end on `init` (see
-    /// [`IslSession::certify`] for the three-step evidence).
+    /// [`IslSession::certify`] for the evidence it gathers).
     ///
     /// *Staged equivalent:* [`IslSession::certify`] (which keeps the
     /// certificate `Arc`-shared and stored; this shim clones it out for

@@ -26,8 +26,9 @@
 //!    instances and Pareto extraction (`isl-dse`);
 //! 5. **Synthesized** — synthesizable VHDL, packaged with testbenches (and,
 //!    after certification, golden-vector replays) into a [`VhdlBundle`];
-//! 6. **Certified** — bit-true hardware co-simulation evidence
-//!    ([`ArchitectureCertificate`], via `isl-cosim`);
+//! 6. **Certified** — bit-true hardware evidence
+//!    ([`ArchitectureCertificate`]): golden vectors recorded by the
+//!    quantised cone-DAG engine and certified word for word by `isl-vhdl`;
 //! 7. **FormatSearched** — precision design-space exploration
 //!    ([`IslSession::search_format`]): binary-search the narrowest
 //!    certified fixed-point format within an [`ErrorBudget`], with every

@@ -38,11 +38,11 @@ use isl_estimate::{
 use isl_fpga::{Device, FixedFormat, SynthOptions, Synthesizer};
 use isl_ir::{Cone, StencilPattern, Window};
 use isl_sim::parallel::par_map;
-use isl_sim::{level_depths, BorderMode, CompiledCone, FrameSet, Simulator};
+use isl_sim::{level_depths, BorderMode, CompiledCone, FrameSet, Quantizer, Simulator};
 use isl_symexec::compile_str;
 use isl_vhdl::{
     check::verify_vectors, fixed_package, generate_cone, generate_testbench,
-    generate_vector_testbench, generate_wrapper, VectorFile, VhdlOptions,
+    generate_vector_testbench, generate_wrapper, VectorFile, VectorLayout, VhdlOptions,
 };
 
 use crate::error::{FlowError, Stage};
@@ -784,13 +784,18 @@ impl IslSession {
     ///    every operation, at `arch`'s exact window/depth decomposition) is
     ///    checked bit-identical to the tree-walking quantised reference;
     /// 2. the **compiled quantised cone-DAG** run — the hardware's actual
-    ///    multi-level datapath semantics — likewise;
-    /// 3. the bit-true **integer co-simulator** replays the decomposition
-    ///    on raw fixed-point words and records every cone firing as golden
-    ///    vectors, which must pass [`isl_vhdl::check::verify_vectors`]
-    ///    (independent re-derivation of every response word) with zero
-    ///    mismatches; the vector-file testbenches are generated and
-    ///    structurally checked along the way.
+    ///    multi-level datapath semantics, on raw fixed-point words —
+    ///    likewise; the same run records every cone firing (the
+    ///    border-resolved base-input words and every output word) as
+    ///    golden vectors;
+    /// 3. every golden vector must pass
+    ///    [`isl_vhdl::check::verify_vectors`] (independent re-derivation of
+    ///    every response word by the raw-word graph interpreter) with zero
+    ///    mismatches, round-trip through its text form and drive a
+    ///    structurally valid vector-file testbench;
+    /// 4. the error metrics of the certificate are measured on that same
+    ///    cone-DAG run, against the whole-frame `f64` golden run and the
+    ///    exact-arithmetic run of the same decomposition.
     ///
     /// The certificate (golden vectors included) is stored: repeating the
     /// call — from any thread, any clone of this session — serves the
@@ -846,7 +851,7 @@ impl IslSession {
         vector_key: RunKey,
     ) -> Result<ArchitectureCertificate, FlowError> {
         let fmt = self.spec.synth_options.format;
-        let q = isl_cosim::quantizer_of(fmt);
+        let q = Quantizer::from(fmt);
         let sim = self.simulator()?;
         let iters = self.spec.iterations;
         let (window, depth) = (arch.window, arch.depth);
@@ -872,31 +877,48 @@ impl IslSession {
             Ok(n)
         };
 
-        // 1) Quantised tiled semantics, compiled vs golden tree walk.
+        // 1) Quantised tiled semantics, compiled vs golden tree walk; and
+        // the golden tree walk of the quantised cone-DAG semantics.
         let span_q = isl_telemetry::span("certify", "quantised engine checks");
         let tiled = sim.run_tiled_quantized(init, iters, window, depth, q)?;
         let tiled_ref = sim.run_tiled_quantized_reference(init, iters, window, depth, q)?;
         let mut quantized_elements = bitwise(&tiled, &tiled_ref, "quantised tiled")?;
-
-        // 2) Quantised cone-DAG semantics, compiled vs golden graph walk.
-        let dag = sim.run_cone_dag_quantized(init, iters, window, depth, q)?;
         let dag_ref = sim.run_cone_dag_quantized_reference(init, iters, window, depth, q)?;
-        quantized_elements += bitwise(&dag, &dag_ref, "quantised cone-DAG")?;
         drop(span_q);
 
-        // 3) Bit-true integer co-simulation + golden-vector certification.
-        // The vector set is itself a stored artifact (keyed without the
-        // core count — vectors are per-decomposition), so certifying the
-        // same decomposition at another core count replays the stored
-        // firings instead of re-running the co-simulator.
-        let cosim = CoSimulator::new(&self.spec.pattern, fmt)?.with_border(self.spec.border);
-        let vector_files = self
-            .store
-            .golden_vectors(vector_key, || {
-                cosim
-                    .golden_vectors(init, iters, window, depth)
-                    .map_err(FlowError::from)
-            })?;
+        // 2) The compiled quantised cone-DAG run — the hardware's actual
+        // datapath — recording every cone firing as golden vectors. The
+        // vector set is itself a stored artifact (keyed without the core
+        // count — vectors are per-decomposition), so certifying the same
+        // decomposition at another core count serves the stored firings
+        // and runs the engine without recording.
+        let span_g = isl_telemetry::span("certify", "golden vectors");
+        let mut recorded = None;
+        let vector_files = self.store.golden_vectors(vector_key, || {
+            let run = sim.record_cone_dag_quantized(init, iters, window, depth, fmt)?;
+            let mut files = Vec::with_capacity(run.shapes.len());
+            for (d, firings) in run.shapes {
+                let cone = self.cone_at(Stage::Certify, window, d)?;
+                let mut layout = VectorLayout::new(&cone, fmt, sim.params());
+                for f in firings {
+                    layout.push(f.level, f.tile, &f.inputs, f.outputs);
+                }
+                files.push(layout.into_file());
+            }
+            recorded = Some(run.frames);
+            Ok::<_, FlowError>(files)
+        })?;
+        let dag = match recorded {
+            Some(frames) => frames,
+            None => sim.run_cone_dag_quantized(init, iters, window, depth, q)?,
+        };
+        drop(span_g);
+        quantized_elements += bitwise(&dag, &dag_ref, "quantised cone-DAG")?;
+
+        // 3) Golden-vector certification: every response word re-derived
+        // from its stimulus by the independent raw-word graph interpreter
+        // (`verify_vectors` → `eval_fixed_raw`); the vector-file
+        // testbenches are generated and structurally checked along the way.
         let span_v = isl_telemetry::span("certify", "vector verify");
         let mut vector_records = 0;
         let mut vector_words = 0;
@@ -926,23 +948,19 @@ impl IslSession {
                     .map_err(|e| FlowError::Verification(e.to_string()))?;
             }
         }
-
         drop(span_v);
 
-        // Measured accuracy of the hardware datapath, on two references:
-        // the whole-frame golden run (end-to-end, includes the cone-base
-        // border semantics of the decomposition) and the exact-arithmetic
-        // run of the *same* decomposition (pure format cost — the monotone
-        // axis the format search budgets). Both are format-independent, so
-        // they are stored once per decomposition and shared by every
-        // format the search probes.
+        // Measured accuracy of the hardware datapath — the checked
+        // cone-DAG run above — on two references: the whole-frame golden
+        // run (end-to-end, includes the cone-base border semantics of the
+        // decomposition) and the exact-arithmetic run of the *same*
+        // decomposition (pure format cost — the monotone axis the format
+        // search budgets). Both are format-independent, so they are stored
+        // once per decomposition and shared by every format the search
+        // probes.
         let refs = self.reference_runs(init, window, depth)?;
-        let (golden, exact_dag) = (&refs.0, &refs.1);
-        let fixed = cosim
-            .run_cone_levels(init, iters, window, depth)?
-            .dequantize(fmt);
-        let metrics = isl_cosim::error_metrics(golden, &fixed);
-        let quant = isl_cosim::error_metrics(exact_dag, &fixed);
+        let metrics = isl_cosim::error_metrics(&refs.0, &dag);
+        let quant = isl_cosim::error_metrics(&refs.1, &dag);
 
         Ok(ArchitectureCertificate {
             arch,
@@ -1106,10 +1124,12 @@ impl IslSession {
         // format over the measured value box. `may_saturate == false` is a
         // proof; `true` flags the escalation probe as statically doomed,
         // and the probe is then served by `light_probe`, which measures
-        // only the quantisation error the probe reports — the same
-        // `run_cone_levels` + `error_metrics` numbers `certify` records,
-        // bit-identically — and skips the full certification (quantised
-        // engine cross-checks, golden vectors, testbench). The verdict
+        // only the quantisation error the probe reports — one
+        // `run_cone_dag_quantized` on the session's store-backed simulator
+        // plus `error_metrics`, the same numbers `certify` records from its
+        // recording run of that engine, bit-identically — and skips the
+        // full certification (tree-walk cross-checks, golden vectors,
+        // vector verification, testbench). The verdict
         // only ever picks between two bit-identical ways of computing the
         // probe, so an over- or under-approximate gate costs work, never
         // correctness.
@@ -1132,11 +1152,13 @@ impl IslSession {
         };
         let light_probe = |fmt: FixedFormat| -> Result<FormatProbe, FlowError> {
             let _span = isl_telemetry::span!("search", "light probe {}", fmt);
-            let cosim =
-                CoSimulator::new(&self.spec.pattern, fmt)?.with_border(self.spec.border);
-            let fixed = cosim
-                .run_cone_levels(init, self.spec.iterations, arch.window, arch.depth)?
-                .dequantize(fmt);
+            let fixed = self.simulator()?.run_cone_dag_quantized(
+                init,
+                self.spec.iterations,
+                arch.window,
+                arch.depth,
+                Quantizer::from(fmt),
+            )?;
             let quant = isl_cosim::error_metrics(&refs.1, &fixed);
             Ok(FormatProbe {
                 format: fmt,
@@ -1594,18 +1616,21 @@ pub struct ErrorBudget {
     pub max_abs: f64,
     /// Bound on the RMS deviation (`f64::INFINITY` leaves it unbounded).
     pub rms: f64,
-    /// Widest total word the search may probe, `4..=54`. 54 bits is the
-    /// widest format whose raw words round-trip *exactly* through the
-    /// `f64`-mediated golden-vector verification (`f64` carries 53 mantissa
-    /// bits); the raw [`FixedFormat`] datapath itself rails correctly up to
-    /// 64 bits, which the numeric regression tests pin separately.
+    /// Widest total word the search may probe, `4..=54` — see
+    /// [`ErrorBudget::MAX_WIDTH`].
     pub max_width: u32,
 }
 
 impl ErrorBudget {
-    /// The widest certifiable word: beyond 54 bits, raw words no longer
-    /// round-trip exactly through `f64` and word-for-word vector
-    /// certification stops being meaningful.
+    /// The widest certifiable word. A signed 54-bit raw word has at most 53
+    /// significant bits, so it dequantises to `f64` exactly; beyond that,
+    /// distinct words can round to one `f64`. [`IslSession::certify`]
+    /// compares its compiled and tree-walk engine runs as dequantised `f64`
+    /// frames and measures its error metrics on them, so past 54 bits those
+    /// checks could miss a low-bit divergence and the metrics would be
+    /// measured on rounded values. Golden-vector verification is not the
+    /// limit: [`isl_vhdl::check::verify_vectors`] compares raw words
+    /// through `eval_fixed_raw`, exact at every width up to 64.
     pub const MAX_WIDTH: u32 = 54;
 
     /// A budget bounding only the max-abs error, probing up to the full

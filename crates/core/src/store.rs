@@ -2,7 +2,7 @@
 //!
 //! Every expensive artifact of the pipeline — built [`Cone`]s, compiled
 //! bytecode programs, calibration synthesis reports, DSE calibrations,
-//! co-simulation golden vectors, whole architecture certificates and
+//! golden vectors, whole architecture certificates and
 //! precision format-search outcomes — is
 //! keyed by its **content**: the pattern's structural fingerprint plus
 //! every input that can change the value (shape, options, device, frame
@@ -203,7 +203,7 @@ impl CalibrationKey {
     }
 }
 
-/// Identity of one co-simulated run of one cone decomposition (golden
+/// Identity of one quantised run of one cone decomposition (golden
 /// vectors do not depend on the core count; certificates add it).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct RunKey {
@@ -334,7 +334,7 @@ pub struct StoreStats {
     pub syntheses: CacheStats,
     /// DSE calibrations (estimators + cone facts per device/space).
     pub calibrations: CacheStats,
-    /// Golden-vector sets of co-simulated decompositions.
+    /// Golden-vector sets of recorded decompositions.
     pub vectors: CacheStats,
     /// Architecture certificates.
     pub certificates: CacheStats,

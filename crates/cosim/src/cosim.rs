@@ -2,14 +2,14 @@
 //! golden-vector generation and mismatch triage.
 
 use isl_fpga::FixedFormat;
-use isl_ir::{Cone, Leaf, Node, NodeId, StencilPattern, Window};
-use isl_sim::{BorderMode, CompiledCone, CompiledPattern, Frame, FrameSet};
+use isl_ir::{Cone, StencilPattern, Window};
+use isl_sim::{BorderMode, CompiledCone, Frame, FrameSet};
 use isl_vhdl::codegen;
-use isl_vhdl::vectors::{VectorFile, VectorRecord};
-use isl_vhdl::VectorCheckError;
+use isl_vhdl::vectors::VectorFile;
+use isl_vhdl::{VectorCheckError, VectorLayout};
 
 use crate::error::CosimError;
-use crate::vm::{eval_cone_raw_traced, eval_kernel_raw, Fault};
+use crate::vm::{eval_cone_raw_traced, Fault};
 
 /// Frames of raw fixed-point words — the integer-domain mirror of
 /// [`isl_sim::FrameSet`]. One buffer per pattern field, row-major.
@@ -267,12 +267,14 @@ impl std::fmt::Display for TriageReport {
 
 /// Bit-true co-simulator of one stencil pattern on one hardware format.
 ///
-/// Runs whole frames ([`CoSimulator::run_frames`]) and cone-architecture
-/// decompositions ([`CoSimulator::run_cone_levels`]) entirely on raw `i64`
-/// words through the integer VM, generates per-firing golden-vector files
-/// ([`CoSimulator::golden_vectors`]) for the VHDL backend, and triages
-/// vector mismatches down to the instruction
-/// ([`CoSimulator::triage_vectors`]).
+/// Runs cone-architecture decompositions ([`CoSimulator::run_cone_levels`])
+/// entirely on raw `i64` words through the scalar integer VM, records
+/// per-firing golden-vector files ([`CoSimulator::golden_vectors`]) — the
+/// independent twin of the quantised cone-DAG engine's recording that
+/// `certify` uses — and triages vector mismatches down to the instruction
+/// ([`CoSimulator::triage_vectors`]). Fault campaigns
+/// ([`CoSimulator::fault_campaign`]) replay recorded stimuli through the
+/// same VM.
 #[derive(Debug, Clone)]
 pub struct CoSimulator<'p> {
     pattern: &'p StencilPattern,
@@ -364,44 +366,6 @@ impl<'p> CoSimulator<'p> {
         Ok(())
     }
 
-    /// `iterations` whole-frame steps in the integer domain — the sibling
-    /// of [`isl_sim::Simulator::run`] on raw words, every operation through
-    /// the hardware datapath.
-    ///
-    /// # Errors
-    ///
-    /// [`CosimError::Sim`] on a frame-set mismatch.
-    pub fn run_frames(&self, init: &FrameSet, iterations: u32) -> Result<IntFrameSet, CosimError> {
-        self.check(init)?;
-        let cp = CompiledPattern::compile(self.pattern, &self.params, false);
-        let mut state = IntFrameSet::quantize(init, self.fmt);
-        let (w, h) = (state.width as i64, state.height as i64);
-        for _ in 0..iterations {
-            let mut next = state.clone();
-            for fi in 0..cp.field_count() {
-                let Some(kernel) = cp.kernel(fi) else {
-                    continue; // static field: buffer carried over
-                };
-                for y in 0..h {
-                    for x in 0..w {
-                        let v = eval_kernel_raw(kernel, self.fmt, |f, dx, dy| {
-                            state.sample(
-                                f as usize,
-                                x + i64::from(dx),
-                                y + i64::from(dy),
-                                self.border,
-                                self.fmt,
-                            )
-                        });
-                        next.frames[fi][(y * w + x) as usize] = v;
-                    }
-                }
-            }
-            state = next;
-        }
-        Ok(state)
-    }
-
     /// Execute the cone-architecture decomposition (`iterations` split into
     /// depth-`depth` levels plus a remainder level) entirely in the integer
     /// domain: every window tile of every level runs through the integer
@@ -464,8 +428,7 @@ impl<'p> CoSimulator<'p> {
         struct Shape {
             cone: Cone,
             cc: CompiledCone,
-            ports_in: Vec<String>,
-            file: VectorFile,
+            layout: VectorLayout,
         }
         let mut shapes: Vec<(u32, Shape)> = Vec::new();
         let mut state = IntFrameSet::quantize(init, self.fmt);
@@ -475,25 +438,8 @@ impl<'p> CoSimulator<'p> {
             if !shapes.iter().any(|(sd, _)| *sd == d) {
                 let cone = Cone::build(self.pattern, window, d)?;
                 let cc = CompiledCone::compile_with(&cone, &self.params, false);
-                let (ports_in, ports_out) = cone_ports(&cone);
-                let file = VectorFile {
-                    entity: codegen::entity_name(&cone),
-                    format: self.fmt,
-                    window,
-                    depth: d,
-                    ports_in: ports_in.clone(),
-                    ports_out,
-                    records: Vec::new(),
-                };
-                shapes.push((
-                    d,
-                    Shape {
-                        cone,
-                        cc,
-                        ports_in,
-                        file,
-                    },
-                ));
+                let layout = VectorLayout::new(&cone, self.fmt, &self.params);
+                shapes.push((d, Shape { cone, cc, layout }));
             }
             let shape = &mut shapes
                 .iter_mut()
@@ -516,19 +462,14 @@ impl<'p> CoSimulator<'p> {
                     };
                     let (outs, _) = eval_cone_raw_traced(&shape.cc, self.fmt, read, self.fault);
                     if record {
-                        let stimulus = stimulus_words(
-                            &shape.cone,
-                            &shape.ports_in,
-                            &self.params,
-                            self.fmt,
-                            &read,
-                        );
-                        shape.file.records.push(VectorRecord {
-                            level: li as u32,
-                            tile: (tx, ty),
-                            stimulus,
-                            response: outs.clone(),
-                        });
+                        let inputs: Vec<i64> = shape
+                            .cone
+                            .inputs()
+                            .iter()
+                            .chain(shape.cone.static_inputs())
+                            .map(|i| read(i.field.index() as u16, i.point.x, i.point.y))
+                            .collect();
+                        shape.layout.push(li as u32, (tx, ty), &inputs, outs.clone());
                     }
                     for (slot, v) in shape.cc.outputs().iter().zip(&outs) {
                         let (ax, ay) = (tx + i64::from(slot.px), ty + i64::from(slot.py));
@@ -542,7 +483,7 @@ impl<'p> CoSimulator<'p> {
             }
             state = next;
         }
-        let files = shapes.into_iter().map(|(_, s)| s.file).collect();
+        let files = shapes.into_iter().map(|(_, s)| s.layout.into_file()).collect();
         Ok((state, files))
     }
 
@@ -621,72 +562,4 @@ pub(crate) fn replay_read<'f>(
             .map(|c| record.stimulus[c])
             .unwrap_or(0)
     }
-}
-
-/// The data-port lists of a cone, in entity declaration order (parameters,
-/// dynamic inputs, static inputs; then outputs) — must match
-/// `isl_vhdl::codegen::generate_cone` exactly.
-fn cone_ports(cone: &Cone) -> (Vec<String>, Vec<String>) {
-    let graph = cone.graph();
-    let roots: Vec<NodeId> = cone.outputs().iter().map(|o| o.node).collect();
-    let mask = graph.reachable(&roots);
-    let mut param_ids: Vec<usize> = graph
-        .nodes()
-        .filter(|(id, _)| mask[id.index()])
-        .filter_map(|(_, n)| match n {
-            Node::Leaf(Leaf::Param(p)) => Some(p.index()),
-            _ => None,
-        })
-        .collect();
-    param_ids.sort_unstable();
-    param_ids.dedup();
-    let mut ports_in: Vec<String> = param_ids.into_iter().map(codegen::param_port_name).collect();
-    ports_in.extend(
-        cone.inputs()
-            .iter()
-            .map(|i| codegen::input_port_name(i.field, i.point)),
-    );
-    ports_in.extend(
-        cone.static_inputs()
-            .iter()
-            .map(|i| codegen::static_port_name(i.field, i.point)),
-    );
-    let ports_out = cone
-        .outputs()
-        .iter()
-        .map(|o| codegen::output_port_name(o.field, o.point))
-        .collect();
-    (ports_in, ports_out)
-}
-
-/// The stimulus row of one firing, aligned to `ports_in`: quantised
-/// parameter words, then the border-resolved dynamic and static input words
-/// the VM read.
-fn stimulus_words<R>(
-    cone: &Cone,
-    ports_in: &[String],
-    params: &[f64],
-    fmt: FixedFormat,
-    read: &R,
-) -> Vec<i64>
-where
-    R: Fn(u16, i32, i32) -> i64,
-{
-    let n_params = ports_in
-        .iter()
-        .filter(|p| p.starts_with("param_p"))
-        .count();
-    let mut words = Vec::with_capacity(ports_in.len());
-    for name in &ports_in[..n_params] {
-        let idx: usize = name
-            .strip_prefix("param_p")
-            .and_then(|s| s.parse().ok())
-            .expect("parameter port name");
-        words.push(fmt.quantize(params.get(idx).copied().unwrap_or(0.0)));
-    }
-    for inp in cone.inputs().iter().chain(cone.static_inputs()) {
-        words.push(read(inp.field.index() as u16, inp.point.x, inp.point.y));
-    }
-    debug_assert_eq!(words.len(), ports_in.len());
-    words
 }

@@ -4,24 +4,24 @@
 //! the *generated hardware* compute the same thing. This crate closes that
 //! loop executably, without an FPGA or a VHDL simulator in the container:
 //!
-//! * an **integer-domain fixed-point VM** ([`vm`]) — a sibling of
-//!   `isl_sim::vm` that executes the same [`isl_sim::CompiledPattern`] /
-//!   [`isl_sim::CompiledCone`] bytecode on raw `i64` words through the
-//!   hardware datapath ([`isl_fpga::FixedFormat::apply_unary`] /
+//! * an **integer-domain fixed-point VM** ([`vm`]) — a scalar sibling of
+//!   `isl_sim::vm` that executes the same [`isl_sim::CompiledCone`]
+//!   bytecode on raw `i64` words through the hardware datapath
+//!   ([`isl_fpga::FixedFormat::apply_unary`] /
 //!   [`apply_binary`](isl_fpga::FixedFormat::apply_binary)): saturating
 //!   adds, truncating widened multiplies and divides, non-restoring square
 //!   root — exactly the `isl_fixed_pkg` operations the VHDL backend emits.
 //!   Property tests pin it bit-identical to the independent fixed-point
 //!   graph interpreter ([`isl_fpga::eval_fixed`]);
-//! * a **co-simulator** ([`CoSimulator`]) that runs whole frames and full
-//!   cone-architecture decompositions (levels of depth-`d` cones, window by
-//!   window, borders resolved at each level's base — what the generated
-//!   hardware actually computes) entirely in the integer domain;
+//! * a **co-simulator** ([`CoSimulator`]) that runs full cone-architecture
+//!   decompositions (levels of depth-`d` cones, window by window, borders
+//!   resolved at each level's base — what the generated hardware actually
+//!   computes) one firing at a time on that VM;
 //! * **golden-vector exchange** — [`CoSimulator::golden_vectors`] records
 //!   every cone firing of a run as raw stimulus/response words in the
-//!   [`isl_vhdl::vectors`] format; `isl_vhdl` replays them in a
-//!   vector-file testbench and certifies them word-for-word with
-//!   [`isl_vhdl::check::verify_vectors`];
+//!   [`isl_vhdl::vectors`] format (laid out by [`isl_vhdl::VectorLayout`]);
+//!   `isl_vhdl` replays them in a vector-file testbench and certifies them
+//!   word-for-word with [`isl_vhdl::check::verify_vectors`];
 //! * **error metrics** — [`error_metrics`] measures the max-abs / RMS
 //!   drift of a dequantised fixed-point run from its `f64` reference; the
 //!   flow-level *format search* evaluates one [`ErrorMetrics`] per probed
@@ -39,6 +39,17 @@
 //!   detected / masked / silent into a [`FaultCoverageReport`] — the
 //!   quantified answer to "would certification notice a broken bit?".
 //!
+//! ## Who runs the scalar VM
+//!
+//! Certification does not: `IslSession::certify` takes its golden vectors
+//! and error metrics from the quantised cone-DAG lane engine of `isl-sim`
+//! (`Simulator::record_cone_dag_quantized`), which executes the same
+//! datapath on structure-of-arrays lanes. The scalar VM serves the jobs
+//! that need one firing at a time: fault campaigns (a fault hook per
+//! instruction), mismatch triage (a per-instruction trace), and the
+//! independent leg of the differential fuzzer, which compares its vectors
+//! with the engine's raw words at every width up to 64.
+//!
 //! ## The integer datapath contract
 //!
 //! One rule ties the layers together: **a value is a raw `i64` word of the
@@ -46,12 +57,12 @@
 //! performed by the same function the synthesis model and the VHDL support
 //! package define** — quantise on load (round-to-nearest, saturate),
 //! saturate adds, truncate multiplies/divides after widening, comparisons
-//! produce fixed-point `1.0`, selects forward words untouched. The `f64`
-//! quantised engines (`run_quantized`, `run_tiled_quantized`,
-//! `run_cone_dag_quantized` in `isl-sim`) approximate this contract with
-//! round-to-nearest after every op; this crate *is* the contract, bit for
-//! bit. The conversions [`quantizer_of`] / [`format_of`] (plus their
-//! lock-step property tests) keep `isl_sim::Quantizer` and
+//! produce fixed-point `1.0`, selects forward words untouched. The
+//! quantised engines of `isl-sim` (`run_quantized`, `run_tiled_quantized`,
+//! `run_cone_dag_quantized`) run the same contract over lanes of raw
+//! words; this crate runs it scalar-wise, so each side checks the other
+//! bit for bit. The conversions [`quantizer_of`] / [`format_of`] (plus
+//! their lock-step property tests) keep `isl_sim::Quantizer` and
 //! `isl_fpga::FixedFormat` two views of the same definition.
 //!
 //! ```
@@ -102,4 +113,4 @@ pub use cosim::{
     TriageReport,
 };
 pub use error::CosimError;
-pub use vm::{eval_cone_raw, eval_cone_raw_traced, eval_kernel_raw, Fault, FaultModel};
+pub use vm::{eval_cone_raw, eval_cone_raw_traced, Fault, FaultModel};

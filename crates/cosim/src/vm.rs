@@ -1,8 +1,8 @@
 //! The integer-domain fixed-point VM.
 //!
-//! A sibling of `isl_sim::vm` that executes the *same* compiled bytecode —
-//! [`CompiledKernel`] / [`CompiledCone`] programs — on raw `i64` fixed-point
-//! words instead of `f64` samples. Every instruction goes through the
+//! A scalar sibling of `isl_sim::vm` that executes the *same* compiled cone
+//! bytecode ([`CompiledCone`] programs) on raw `i64` fixed-point words
+//! instead of `f64` samples. Every instruction goes through the
 //! integer datapath of [`FixedFormat::apply_unary`] /
 //! [`FixedFormat::apply_binary`]: saturating adds, truncating widened
 //! multiplies and divides, non-restoring square root — exactly the
@@ -20,7 +20,7 @@
 //! whole cone programs.
 
 use isl_fpga::FixedFormat;
-use isl_sim::{CompiledCone, CompiledKernel, Instr};
+use isl_sim::{CompiledCone, Instr};
 
 /// How a faulted instruction's result word is corrupted — the three classic
 /// gate-level fault models, each over an explicit bit mask.
@@ -141,20 +141,6 @@ fn exec<F: Fn(u32) -> i64, R: Fn(u16, i32, i32) -> i64>(
     }
 }
 
-/// Evaluate a compiled kernel at one element, on raw words. `read` supplies
-/// already-quantised input words (border resolution is the caller's job).
-pub fn eval_kernel_raw<R>(kernel: &CompiledKernel, fmt: FixedFormat, read: R) -> i64
-where
-    R: Fn(u16, i32, i32) -> i64,
-{
-    let code = kernel.code();
-    let mut regs = vec![0i64; code.len()];
-    for (i, instr) in code.iter().enumerate() {
-        regs[i] = exec(fmt, instr, |r| regs[r as usize], &read);
-    }
-    regs[kernel.result() as usize]
-}
-
 /// Evaluate a compiled cone program on raw words: one forward pass over the
 /// slot-allocated bytecode. Returns the raw response word of every output,
 /// in [`CompiledCone::outputs`] order.
@@ -212,7 +198,6 @@ mod tests {
     use super::*;
     use isl_fpga::eval_fixed;
     use isl_ir::{BinaryOp, Cone, Expr, FieldKind, Offset, StencilPattern, UnaryOp, Window};
-    use isl_sim::CompiledPattern;
 
     fn heavy() -> StencilPattern {
         // sqrt + divide + select: every datapath unit in one kernel.
@@ -265,20 +250,6 @@ mod tests {
                 assert_eq!(fmt.dequantize(*g), *wv, "w{w} d{d} at ({}, {})", pt.x, pt.y);
             }
         }
-    }
-
-    #[test]
-    fn kernel_vm_matches_cone_vm_at_depth_one() {
-        let p = heavy();
-        let fmt = FixedFormat::default();
-        let cp = CompiledPattern::compile(&p, &[], false);
-        let kernel = cp.kernel(0).unwrap();
-        let cone = Cone::build(&p, Window::line(1), 1).unwrap();
-        let cc = CompiledCone::compile_with(&cone, &[], false);
-        let read_raw = |f: u16, x: i32, y: i32| fmt.quantize(stimulus(f, x, y));
-        let by_kernel = eval_kernel_raw(kernel, fmt, read_raw);
-        let by_cone = eval_cone_raw(&cc, fmt, read_raw)[0];
-        assert_eq!(by_kernel, by_cone);
     }
 
     #[test]

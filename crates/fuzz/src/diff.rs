@@ -10,11 +10,14 @@
 //!   borders, plus a serial-vs-parallel sweep;
 //! * quantised domain — the same lattice at an adversarial fixed-point
 //!   width (the ladder includes 8, 18, 31, 54, 63 and 64 bits);
-//! * integer co-simulation — golden vectors recorded and re-verified with
-//!   [`isl_vhdl::check::verify_vectors`] (integer-exact at any width), and
-//!   for formats whose raw words round-trip through `f64` (width ≤ 54)
-//!   the whole integer cone-level run is compared **bit-for-bit** against
-//!   the quantised cone-DAG engine.
+//! * integer co-simulation — golden vectors recorded by the scalar VM and
+//!   re-verified with [`isl_vhdl::check::verify_vectors`] (integer-exact at
+//!   any width); the vectors the quantised cone-DAG engine records
+//!   ([`engine_vectors`], what `IslSession::certify` stores) compared with
+//!   them **word for word** at every width of the ladder; and, for formats
+//!   whose raw words round-trip through `f64` (width ≤ 54), the whole
+//!   integer cone-level run compared bit-for-bit with the engine's
+//!   dequantised frames.
 //!
 //! Every comparison is `f64::to_bits` equality — "close" is not a verdict.
 //! A run that errors is only consistent if its reference twin errors with
@@ -26,6 +29,7 @@ use isl_ir::{Cone, Window};
 use isl_sim::harness::{run_f64, run_quantized, Engine, RunSpec, Semantics};
 use isl_sim::{synthetic, BorderMode, FrameSet, Quantizer, SimError, Simulator};
 use isl_vhdl::check::verify_vectors;
+use isl_vhdl::{VectorFile, VectorLayout};
 
 use crate::rng::Rng;
 
@@ -215,6 +219,65 @@ fn cross_check(
     }
 }
 
+/// The golden vectors the quantised cone-DAG engine records for one run
+/// ([`Simulator::record_cone_dag_quantized`]), one file per distinct cone
+/// depth, laid out by [`VectorLayout`] — the files `IslSession::certify`
+/// stores, built the same way.
+///
+/// # Errors
+///
+/// The engine's [`SimError`]s, and cone-construction failures as
+/// [`SimError::Cone`].
+pub fn engine_vectors(
+    sim: &Simulator<'_>,
+    init: &FrameSet,
+    iterations: u32,
+    window: Window,
+    depth: u32,
+    fmt: FixedFormat,
+) -> Result<Vec<VectorFile>, SimError> {
+    let run = sim.record_cone_dag_quantized(init, iterations, window, depth, fmt)?;
+    run.shapes
+        .into_iter()
+        .map(|(d, firings)| {
+            let cone = Cone::build(sim.pattern(), window, d)
+                .map_err(|e| SimError::Cone(e.to_string()))?;
+            let mut layout = VectorLayout::new(&cone, fmt, sim.params());
+            for f in firings {
+                layout.push(f.level, f.tile, &f.inputs, f.outputs);
+            }
+            Ok(layout.into_file())
+        })
+        .collect()
+}
+
+/// The first difference between two vector-file sets, if any.
+fn first_vector_diff(a: &[VectorFile], b: &[VectorFile]) -> Option<String> {
+    if a.len() != b.len() {
+        return Some(format!("file counts differ: {} vs {}", a.len(), b.len()));
+    }
+    let (fa, fb) = a.iter().zip(b).find(|(x, y)| x != y)?;
+    let Some(ri) = fa.records.iter().zip(&fb.records).position(|(x, y)| x != y) else {
+        return Some(format!("`{}`: headers or record counts differ", fa.entity));
+    };
+    let (ra, rb) = (&fa.records[ri], &fb.records[ri]);
+    let first = |x: &[i64], y: &[i64]| {
+        x.iter()
+            .zip(y)
+            .position(|(p, q)| p != q)
+            .map(|c| (c, x[c], y[c]))
+    };
+    Some(format!(
+        "`{}` record {ri}: level/tile {:?} vs {:?}; first stimulus (column, words) {:?}; \
+         first response {:?}",
+        fa.entity,
+        (ra.level, ra.tile),
+        (rb.level, rb.tile),
+        first(&ra.stimulus, &rb.stimulus),
+        first(&ra.response, &rb.response)
+    ))
+}
+
 /// Compile `source` through the real frontend and run the full
 /// differential matrix at `cfg`.
 pub fn run_differential(source: &str, cfg: &DiffConfig) -> DiffOutcome {
@@ -291,66 +354,74 @@ pub fn run_differential(source: &str, cfg: &DiffConfig) -> DiffOutcome {
     }
 
     // -- integer co-simulation leg -------------------------------------
-    match CoSimulator::new(&pattern, fmt) {
-        Ok(cosim) => {
-            let cosim = cosim.with_border(cfg.border);
-            match cosim.golden_vectors(&init, cfg.iterations, window, cfg.depth) {
-                Ok(files) => {
-                    for file in &files {
-                        checks += 1;
-                        match Cone::build(&pattern, file.window, file.depth) {
-                            Ok(cone) => {
-                                if let Err(e) = verify_vectors(&cone, fmt, file) {
-                                    mismatches.push(Mismatch {
-                                        check: format!(
-                                            "golden vectors (w{} d{}) self-verify",
-                                            file.window, file.depth
-                                        ),
-                                        detail: e.to_string(),
-                                    });
-                                }
-                            }
-                            Err(e) => mismatches.push(Mismatch {
-                                check: "cone build for recorded vectors".into(),
+    let cosim = match CoSimulator::new(&pattern, fmt) {
+        Ok(cosim) => cosim.with_border(cfg.border),
+        Err(e) => return DiffOutcome::CompileError(format!("cosim rejected pattern: {e}")),
+    };
+    let engine = engine_vectors(&sim, &init, cfg.iterations, window, cfg.depth, fmt);
+    match cosim.golden_vectors(&init, cfg.iterations, window, cfg.depth) {
+        Ok(files) => {
+            for file in &files {
+                checks += 1;
+                match Cone::build(&pattern, file.window, file.depth) {
+                    Ok(cone) => {
+                        if let Err(e) = verify_vectors(&cone, fmt, file) {
+                            mismatches.push(Mismatch {
+                                check: format!(
+                                    "golden vectors (w{} d{}) self-verify",
+                                    file.window, file.depth
+                                ),
                                 detail: e.to_string(),
-                            }),
+                            });
                         }
                     }
-                }
-                Err(e) => {
-                    // The cosim cone-level run must agree with the quantised
-                    // engine even about rejection.
-                    checks += 1;
-                    if sim
-                        .run_cone_dag_quantized(&init, cfg.iterations, window, cfg.depth, q)
-                        .is_ok()
-                    {
-                        mismatches.push(Mismatch {
-                            check: "cosim golden vectors vs quantized cone-DAG".into(),
-                            detail: format!("cosim failed where the engine ran: {e}"),
-                        });
-                    }
+                    Err(e) => mismatches.push(Mismatch {
+                        check: "cone build for recorded vectors".into(),
+                        detail: e.to_string(),
+                    }),
                 }
             }
-            // Raw words round-trip exactly through f64 only up to 54 bits;
-            // beyond that the bitwise integer-vs-quantized contract cannot
-            // be stated through a dequantise.
-            if cfg.width <= 54 {
-                checks += cross_check(
-                    "integer cone levels vs quantized cone-DAG",
-                    cosim
-                        .run_cone_levels(&init, cfg.iterations, window, cfg.depth)
-                        .map(|int| int.dequantize(fmt))
-                        .map_err(|e| SimError::Cone(e.to_string())),
-                    sim.run_cone_dag_quantized(&init, cfg.iterations, window, cfg.depth, q)
-                        .map_err(|e| SimError::Cone(e.to_string())),
-                    &mut mismatches,
-                );
+            // Raw-word leg: the engine's recorded firings equal the scalar
+            // VM's word for word — no `f64` in between, so it binds at
+            // every width up to 64.
+            checks += 1;
+            let detail = match &engine {
+                Ok(engine) => first_vector_diff(&files, engine),
+                Err(e) => Some(format!("cosim ran, engine failed: {e}")),
+            };
+            if let Some(detail) = detail {
+                mismatches.push(Mismatch {
+                    check: "engine vectors vs cosim golden vectors".into(),
+                    detail,
+                });
             }
         }
         Err(e) => {
-            return DiffOutcome::CompileError(format!("cosim rejected pattern: {e}"));
+            // The engine must agree with the co-simulator even about
+            // rejection.
+            checks += 1;
+            if engine.is_ok() {
+                mismatches.push(Mismatch {
+                    check: "cosim golden vectors vs quantized cone-DAG".into(),
+                    detail: format!("cosim failed where the engine ran: {e}"),
+                });
+            }
         }
+    }
+    // Raw words round-trip exactly through f64 only up to 54 bits; beyond
+    // that the frame-level comparison cannot be stated through a
+    // dequantise (the raw-word leg above covers those widths).
+    if cfg.width <= 54 {
+        checks += cross_check(
+            "integer cone levels vs quantized cone-DAG",
+            cosim
+                .run_cone_levels(&init, cfg.iterations, window, cfg.depth)
+                .map(|int| int.dequantize(fmt))
+                .map_err(|e| SimError::Cone(e.to_string())),
+            sim.run_cone_dag_quantized(&init, cfg.iterations, window, cfg.depth, q)
+                .map_err(|e| SimError::Cone(e.to_string())),
+            &mut mismatches,
+        );
     }
 
     match mismatches.into_iter().next() {
@@ -398,6 +469,37 @@ void blur(const float a[H][W], float a_out[H][W]) {
         match run_differential(BLUR, &cfg) {
             DiffOutcome::Agree { .. } => {}
             other => panic!("expected agreement at width 64, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn raw_word_leg_runs_and_binds_at_63_and_64_bits() {
+        let (pattern, _) = isl_symexec::compile_str(BLUR).expect("compiles");
+        for width in [63, 64] {
+            let cfg = DiffConfig { width, frac: width / 2, ..DiffConfig::small() };
+            let fmt = cfg.format();
+            let init = frames_for(&pattern, cfg.frame_w, cfg.frame_h, cfg.frame_seed);
+            let sim = Simulator::new(&pattern).expect("valid").with_border(cfg.border);
+            let (iters, window, depth) = (cfg.iterations, cfg.window, cfg.depth);
+            let engine = engine_vectors(&sim, &init, iters, window, depth, fmt).expect("engine");
+            let golden = CoSimulator::new(&pattern, fmt)
+                .expect("cosim")
+                .with_border(cfg.border)
+                .golden_vectors(&init, iters, window, depth)
+                .expect("vectors");
+            assert_eq!(first_vector_diff(&golden, &engine), None, "width {width}");
+            // One flipped bit in one response word is a mismatch.
+            let mut bent = engine.clone();
+            bent[0].records[0].response[0] ^= 1;
+            assert!(first_vector_diff(&golden, &bent).is_some(), "width {width}");
+            // The wide-word iteration skips only the f64 frame leg.
+            let narrow = DiffConfig { width: 54, frac: 27, ..cfg };
+            match (run_differential(BLUR, &cfg), run_differential(BLUR, &narrow)) {
+                (DiffOutcome::Agree { checks: wide }, DiffOutcome::Agree { checks: n54 }) => {
+                    assert_eq!(wide + 1, n54, "width {width}");
+                }
+                other => panic!("expected agreement, got {other:?}"),
+            }
         }
     }
 

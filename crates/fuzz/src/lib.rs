@@ -68,7 +68,9 @@ pub mod rng;
 pub mod shrink;
 
 pub use corpus::{load_dir, CorpusEntry};
-pub use diff::{frames_for, run_differential, DiffConfig, DiffOutcome, Mismatch, WIDTH_LADDER};
+pub use diff::{
+    engine_vectors, frames_for, run_differential, DiffConfig, DiffOutcome, Mismatch, WIDTH_LADDER,
+};
 pub use gen::generate;
 pub use mutate::{fuzz_frontend, MutationReport, PanicCase};
 pub use persist::{

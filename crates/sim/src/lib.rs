@@ -174,4 +174,4 @@ pub use compile::{
 pub use error::SimError;
 pub use fixed::Quantizer;
 pub use frame::{Frame, FrameSet};
-pub use sim::{level_depths, ConvergenceReport, Simulator};
+pub use sim::{level_depths, ConeDagRecording, ConeFiring, ConvergenceReport, Simulator};

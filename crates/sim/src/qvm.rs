@@ -30,7 +30,7 @@
 //! integer. `f64` cannot round-trip raw words wider than 53 bits, which is
 //! exactly why the state lives in words rather than floats.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use isl_fpga::FixedFormat;
 use isl_ir::{Expr, FieldId, Offset, ParamId};
@@ -39,6 +39,7 @@ use crate::border::BorderMode;
 use crate::compile::{QInstr, QuantizedCone, QuantizedKernel, QuantizedPattern, QuantizedStep};
 use crate::frame::{Frame, FrameSet};
 use crate::parallel::for_each_task;
+use crate::sim::ConeFiring;
 use crate::vm::{dyn_slot_map, split_bands, tile_banding, LANE_SCRATCH, SPAN};
 
 // -- word-domain state ------------------------------------------------------
@@ -639,10 +640,76 @@ fn tile_quantized(
 
 // -- cone-DAG level execution -----------------------------------------------
 
+/// What a recording cone-DAG level captures: the level index and the
+/// base-input taps `(field, dx, dy)` of the cone, in input-port order.
+pub(crate) struct LevelRecord<'a> {
+    pub(crate) level: u32,
+    pub(crate) taps: &'a [(u16, i32, i32)],
+}
+
+/// The firings of one band of tile rows, in row-major tile order.
+struct BandFirings {
+    firings: Vec<ConeFiring>,
+    row0: i64,
+    tiles_x: usize,
+    tile: (i64, i64),
+}
+
+impl BandFirings {
+    /// Capture every tile's border-resolved base-input words up front; the
+    /// output words fill in as the lanes retire them.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        rec: &LevelRecord<'_>,
+        state: &WordSet,
+        border: BorderMode,
+        braw: i64,
+        (row0, rows): (usize, usize),
+        tiles_x: usize,
+        (tw, th): (i64, i64),
+        outputs: usize,
+    ) -> Self {
+        let mut firings = Vec::with_capacity(rows.div_ceil(th as usize) * tiles_x);
+        let mut ty = row0 as i64;
+        while ty < (row0 + rows) as i64 {
+            for k in 0..tiles_x as i64 {
+                let tx = k * tw;
+                let inputs = rec
+                    .taps
+                    .iter()
+                    .map(|&(f, dx, dy)| {
+                        let (x, y) = (tx + i64::from(dx), ty + i64::from(dy));
+                        state.sample(f as usize, x, y, border, braw)
+                    })
+                    .collect();
+                firings.push(ConeFiring {
+                    level: rec.level,
+                    tile: (tx, ty),
+                    inputs,
+                    outputs: vec![0; outputs],
+                });
+            }
+            ty += th;
+        }
+        BandFirings {
+            firings,
+            row0: row0 as i64,
+            tiles_x,
+            tile: (tw, th),
+        }
+    }
+
+    fn at(&mut self, (tx, ty): (i64, i64)) -> &mut ConeFiring {
+        let row = ((ty - self.row0) / self.tile.1) as usize;
+        &mut self.firings[row * self.tiles_x + (tx / self.tile.0) as usize]
+    }
+}
+
 /// One quantised cone-DAG level — the engine behind
 /// [`crate::Simulator::run_cone_dag_quantized`]. Integer twin of
 /// [`crate::vm::cone_level_compiled`], including the streaming output
-/// retirement.
+/// retirement. With `record`, every firing is also returned in row-major
+/// tile order, whatever the thread count.
 pub(crate) fn cone_level_quantized(
     qc: &QuantizedCone,
     state: &WordSet,
@@ -650,7 +717,8 @@ pub(crate) fn cone_level_quantized(
     threads: usize,
     (tw, th): (i64, i64),
     recycle: Option<WordSet>,
-) -> WordSet {
+    record: Option<LevelRecord<'_>>,
+) -> (WordSet, Vec<ConeFiring>) {
     let _span = isl_telemetry::span("engine", "cone level q");
     let (w, h) = (state.width(), state.height());
     let braw = border_raw(border, qc.format());
@@ -661,7 +729,8 @@ pub(crate) fn cone_level_quantized(
     let t = tile_banding(h, th as usize, threads, work);
     let reach = qc.reach();
     let lanes_cap = (LANE_SCRATCH / qc.slots().max(1)).clamp(1, 512);
-    banded_level_q(state, &dyn_fields, th as usize, t, recycle, |row0, slices| {
+    let bands: Mutex<Vec<BandFirings>> = Mutex::new(Vec::new());
+    let next = banded_level_q(state, &dyn_fields, th as usize, t, recycle, |row0, slices| {
         let rows = slices[0].len() / w;
         let mut interior: Vec<(i64, i64)> = Vec::new();
         let mut edge: Vec<(i64, i64)> = Vec::new();
@@ -682,20 +751,31 @@ pub(crate) fn cone_level_quantized(
             }
             ty += th;
         }
+        let mut band = record.as_ref().map(|rec| {
+            let outputs = qc.output_count();
+            BandFirings::new(rec, state, border, braw, (row0, rows), tiles_x, (tw, th), outputs)
+        });
         let mut scratch = vec![0i64; qc.slots() * lanes_cap];
         for chunk in interior.chunks(lanes_cap) {
-            eval_cone_lanes_q(qc, state, border, braw, chunk, true, &dyn_slot, &mut scratch, (slices, row0));
+            eval_cone_lanes_q(qc, state, border, braw, chunk, true, &dyn_slot, &mut scratch, (slices, row0), band.as_mut());
         }
         for chunk in edge.chunks(lanes_cap) {
-            eval_cone_lanes_q(qc, state, border, braw, chunk, false, &dyn_slot, &mut scratch, (slices, row0));
+            eval_cone_lanes_q(qc, state, border, braw, chunk, false, &dyn_slot, &mut scratch, (slices, row0), band.as_mut());
         }
-    })
+        if let Some(band) = band {
+            bands.lock().expect("band firings").push(band);
+        }
+    });
+    let mut bands = bands.into_inner().expect("band firings");
+    bands.sort_by_key(|b| b.row0);
+    (next, bands.into_iter().flat_map(|b| b.firings).collect())
 }
 
 /// Evaluate the quantised cone program for every tile of `chunk` at once —
 /// integer twin of `vm::eval_cone_lanes`, with the same streaming output
 /// retirement (outputs scatter at their capture instruction, before their
-/// slot can be reused).
+/// slot can be reused). A recording band also keeps every retired word,
+/// out-of-frame outputs of edge tiles included.
 #[allow(clippy::too_many_arguments)]
 fn eval_cone_lanes_q(
     qc: &QuantizedCone,
@@ -707,6 +787,7 @@ fn eval_cone_lanes_q(
     dyn_slot: &[Option<usize>],
     scratch: &mut [i64],
     (slices, row0): (&mut [&mut [i64]], usize),
+    mut band: Option<&mut BandFirings>,
 ) {
     let (w, h) = (state.width(), state.height());
     let fmt = qc.format();
@@ -782,10 +863,16 @@ fn eval_cone_lanes_q(
         while next_retire < qc.retire.len()
             && qc.capture[qc.retire[next_retire] as usize] as usize == i
         {
-            let slot = &qc.outputs[qc.retire[next_retire] as usize];
+            let oi = qc.retire[next_retire] as usize;
+            let slot = &qc.outputs[oi];
             next_retire += 1;
             let di = dyn_slot[slot.field as usize].expect("output field is dynamic");
             let src = &scratch[range(slot.reg)];
+            if let Some(band) = band.as_deref_mut() {
+                for (&tile, &v) in chunk.iter().zip(src) {
+                    band.at(tile).outputs[oi] = v;
+                }
+            }
             let off = i64::from(slot.py) * w as i64 + i64::from(slot.px);
             if interior {
                 for (&v, &o) in src.iter().zip(&write_origin) {

@@ -25,6 +25,35 @@ pub struct ConvergenceReport {
     pub converged: bool,
 }
 
+/// One cone firing recorded by [`Simulator::record_cone_dag_quantized`]: a
+/// depth-`d` cone applied at one window tile of one level, as raw words of
+/// the run's format.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConeFiring {
+    /// Level index in the decomposition ([`level_depths`] order).
+    pub level: u32,
+    /// Frame coordinates of the tile origin.
+    pub tile: (i64, i64),
+    /// Border-resolved base-input words, in [`Cone::inputs`] then
+    /// [`Cone::static_inputs`] order.
+    pub inputs: Vec<i64>,
+    /// Every output word, in [`Cone::outputs`] order — including outputs
+    /// an edge tile computes past the frame edge.
+    pub outputs: Vec<i64>,
+}
+
+/// A quantised cone-DAG run with its firings
+/// ([`Simulator::record_cone_dag_quantized`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConeDagRecording {
+    /// The dequantised final state — bit-identical to
+    /// [`Simulator::run_cone_dag_quantized`].
+    pub frames: FrameSet,
+    /// One entry per distinct cone depth in first-use order (the main
+    /// depth, then a remainder depth): the depth and its firings.
+    pub shapes: Vec<(u32, Vec<ConeFiring>)>,
+}
+
 /// Executes a [`StencilPattern`] on frames under three semantics: golden
 /// whole-frame iteration, exact tiled (cone-architecture) execution, and
 /// hardware-faithful cone-DAG evaluation.
@@ -837,40 +866,100 @@ impl<'p> Simulator<'p> {
         depth: u32,
         q: Quantizer,
     ) -> Result<FrameSet, SimError> {
+        self.cone_dag_quantized(init, iterations, window, depth, q.format(), false)
+            .map(|run| run.frames)
+    }
+
+    /// [`Simulator::run_cone_dag_quantized`] that also records every cone
+    /// firing — the golden vectors of the run: per level and window tile,
+    /// the border-resolved base-input words the cone read and every output
+    /// word it produced (out-of-frame outputs of edge tiles included).
+    /// Firings come back in level order, tiles row-major within a level,
+    /// for any thread count; the frames are bit-identical to the
+    /// non-recording run.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Simulator::run_cone_dag`].
+    pub fn record_cone_dag_quantized(
+        &self,
+        init: &FrameSet,
+        iterations: u32,
+        window: Window,
+        depth: u32,
+        fmt: FixedFormat,
+    ) -> Result<ConeDagRecording, SimError> {
+        self.cone_dag_quantized(init, iterations, window, depth, fmt, true)
+    }
+
+    fn cone_dag_quantized(
+        &self,
+        init: &FrameSet,
+        iterations: u32,
+        window: Window,
+        depth: u32,
+        fmt: FixedFormat,
+        record: bool,
+    ) -> Result<ConeDagRecording, SimError> {
         self.check(init)?;
         if depth == 0 {
             return Err(SimError::Cone("cone depth must be at least 1".into()));
         }
-        let fmt = q.format();
         let (tw, th) = (window.w as i64, window.h as i64);
-        let mut programs: Vec<(u32, Arc<crate::compile::QuantizedCone>)> = Vec::new();
+        // Per distinct depth: the program and, when recording, the cone's
+        // base-input taps in input-port order.
+        type Shape = (u32, Arc<crate::compile::QuantizedCone>, Vec<(u16, i32, i32)>);
+        let mut programs: Vec<Shape> = Vec::new();
+        let mut shapes: Vec<(u32, Vec<ConeFiring>)> = Vec::new();
         let mut state = WordSet::quantize(init, fmt);
         let mut spare: Option<WordSet> = None;
-        for d in level_depths(iterations, depth) {
-            if !programs.iter().any(|(pd, _)| *pd == d) {
+        for (level, d) in level_depths(iterations, depth).into_iter().enumerate() {
+            if !programs.iter().any(|(pd, ..)| *pd == d) {
                 let cone = self.build_cone(window, d)?;
+                let taps = if record {
+                    cone.inputs()
+                        .iter()
+                        .chain(cone.static_inputs())
+                        .map(|i| (i.field.index() as u16, i.point.x, i.point.y))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
                 programs.push((
                     d,
                     self.programs
                         .quantized_cone_program(self.pattern, &cone, &self.params, fmt),
+                    taps,
                 ));
+                if record {
+                    shapes.push((d, Vec::new()));
+                }
             }
-            let qc = &programs
+            let (_, qc, taps) = programs
                 .iter()
-                .find(|(pd, _)| *pd == d)
-                .expect("program built above")
-                .1;
-            let next = qvm::cone_level_quantized(
+                .find(|(pd, ..)| *pd == d)
+                .expect("program built above");
+            let (next, firings) = qvm::cone_level_quantized(
                 qc,
                 &state,
                 self.border,
                 self.threads,
                 (tw, th),
                 spare.take(),
+                record.then_some(qvm::LevelRecord {
+                    level: level as u32,
+                    taps,
+                }),
             );
+            if let Some((_, fired)) = shapes.iter_mut().find(|(sd, _)| *sd == d) {
+                fired.extend(firings);
+            }
             spare = Some(std::mem::replace(&mut state, next));
         }
-        Ok(state.dequantize(fmt))
+        Ok(ConeDagRecording {
+            frames: state.dequantize(fmt),
+            shapes,
+        })
     }
 
     /// [`Simulator::run_cone_dag_quantized`] through a tree-walking graph

@@ -6,6 +6,8 @@ use std::fmt::Write as _;
 use isl_fpga::FixedFormat;
 use isl_ir::{BinaryOp, Cone, FieldId, Leaf, Node, NodeId, Point, UnaryOp};
 
+use crate::vectors::{VectorFile, VectorRecord};
+
 /// Options for VHDL generation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VhdlOptions {
@@ -111,6 +113,105 @@ fn leaf_port_name(leaf: &Leaf) -> Option<String> {
     }
 }
 
+/// Indices of the runtime parameters a cone reads, ascending — the order of
+/// its `param_p*` ports.
+fn cone_params(cone: &Cone) -> Vec<usize> {
+    let graph = cone.graph();
+    let roots: Vec<NodeId> = cone.outputs().iter().map(|o| o.node).collect();
+    let mask = graph.reachable(&roots);
+    let mut ids: Vec<usize> = graph
+        .nodes()
+        .filter(|(id, _)| mask[id.index()])
+        .filter_map(|(_, n)| match n {
+            Node::Leaf(Leaf::Param(p)) => Some(p.index()),
+            _ => None,
+        })
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// The data ports of a cone's entity in declaration order: inputs
+/// (parameters `params`, dynamic inputs, static inputs), then outputs.
+fn data_ports(cone: &Cone, params: &[usize]) -> (Vec<String>, Vec<String>) {
+    let ports_in = params
+        .iter()
+        .map(|&p| param_port_name(p))
+        .chain(cone.inputs().iter().map(|i| input_port_name(i.field, i.point)))
+        .chain(
+            cone.static_inputs()
+                .iter()
+                .map(|i| static_port_name(i.field, i.point)),
+        )
+        .collect();
+    let ports_out = cone
+        .outputs()
+        .iter()
+        .map(|o| output_port_name(o.field, o.point))
+        .collect();
+    (ports_in, ports_out)
+}
+
+/// The golden-vector layout of one cone entity — the one definition of how
+/// a cone firing becomes a [`VectorRecord`]: the entity name, the data
+/// ports in the order [`generate_cone`] declares them, and the quantised
+/// parameter words that open every stimulus row. The bit-true
+/// co-simulator and the quantised cone-DAG engine both assemble their
+/// vector files through it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VectorLayout {
+    file: VectorFile,
+    param_words: Vec<i64>,
+}
+
+impl VectorLayout {
+    /// The empty vector file of `cone`'s entity at `fmt`, with the
+    /// parameter binding `params` (by [`isl_ir::ParamId`] index).
+    pub fn new(cone: &Cone, fmt: FixedFormat, params: &[f64]) -> Self {
+        let param_ids = cone_params(cone);
+        let (ports_in, ports_out) = data_ports(cone, &param_ids);
+        VectorLayout {
+            param_words: param_ids
+                .iter()
+                .map(|&i| fmt.quantize(params.get(i).copied().unwrap_or(0.0)))
+                .collect(),
+            file: VectorFile {
+                entity: entity_name(cone),
+                format: fmt,
+                window: cone.window(),
+                depth: cone.depth(),
+                ports_in,
+                ports_out,
+                records: Vec::new(),
+            },
+        }
+    }
+
+    /// Append one firing at `tile` of `level`: `inputs` are the
+    /// border-resolved base-input words in [`Cone::inputs`] then
+    /// [`Cone::static_inputs`] order, `response` every output word in
+    /// [`Cone::outputs`] order.
+    pub fn push(&mut self, level: u32, tile: (i64, i64), inputs: &[i64], response: Vec<i64>) {
+        let mut stimulus = Vec::with_capacity(self.file.ports_in.len());
+        stimulus.extend_from_slice(&self.param_words);
+        stimulus.extend_from_slice(inputs);
+        debug_assert_eq!(stimulus.len(), self.file.ports_in.len());
+        debug_assert_eq!(response.len(), self.file.ports_out.len());
+        self.file.records.push(VectorRecord {
+            level,
+            tile,
+            stimulus,
+            response,
+        });
+    }
+
+    /// The assembled vector file.
+    pub fn into_file(self) -> VectorFile {
+        self.file
+    }
+}
+
 /// Render a cone into a pipelined VHDL entity.
 ///
 /// Every operation node is registered (one stage). Operands that cross more
@@ -210,49 +311,21 @@ pub fn generate_cone(cone: &Cone, options: &VhdlOptions) -> VhdlModule {
         PortInfo { name: "in_valid".into(), direction: PortDirection::In, is_control: true },
         PortInfo { name: "out_valid".into(), direction: PortDirection::Out, is_control: true },
     ];
-    let mut param_ids: Vec<usize> = Vec::new();
-    for (id, node) in graph.nodes() {
-        if mask[id.index()] {
-            if let Node::Leaf(Leaf::Param(p)) = node {
-                param_ids.push(p.index());
-            }
-        }
-    }
-    param_ids.sort_unstable();
-    param_ids.dedup();
-    for p in &param_ids {
-        ports.push(PortInfo {
-            name: format!("param_p{p}"),
-            direction: PortDirection::In,
-            is_control: false,
-        });
-    }
-    for inp in cone.inputs() {
-        ports.push(PortInfo {
-            name: leaf_port_name(&Leaf::Input { field: inp.field, point: inp.point })
-                .expect("input leaves have ports"),
-            direction: PortDirection::In,
-            is_control: false,
-        });
-    }
-    for inp in cone.static_inputs() {
-        ports.push(PortInfo {
-            name: leaf_port_name(&Leaf::Static { field: inp.field, point: inp.point })
-                .expect("static leaves have ports"),
-            direction: PortDirection::In,
-            is_control: false,
-        });
-    }
-    let mut out_port_names: Vec<(String, NodeId)> = Vec::new();
-    for o in cone.outputs() {
-        let name = output_port_name(o.field, o.point);
-        ports.push(PortInfo {
-            name: name.clone(),
-            direction: PortDirection::Out,
-            is_control: false,
-        });
-        out_port_names.push((name, o.node));
-    }
+    let (ports_in, ports_out) = data_ports(cone, &cone_params(cone));
+    ports.extend(ports_in.into_iter().map(|name| PortInfo {
+        name,
+        direction: PortDirection::In,
+        is_control: false,
+    }));
+    ports.extend(ports_out.iter().map(|name| PortInfo {
+        name: name.clone(),
+        direction: PortDirection::Out,
+        is_control: false,
+    }));
+    let out_port_names: Vec<(String, NodeId)> = ports_out
+        .into_iter()
+        .zip(cone.outputs().iter().map(|o| o.node))
+        .collect();
 
     // Emit.
     let mut code = String::new();

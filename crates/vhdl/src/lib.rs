@@ -61,7 +61,9 @@ pub mod vectors;
 mod wrapper;
 
 pub use check::{verify_vectors, VectorCheckError, VectorCheckReport, VectorMismatch};
-pub use codegen::{generate_cone, PortDirection, PortInfo, VhdlModule, VhdlOptions};
+pub use codegen::{
+    generate_cone, PortDirection, PortInfo, VectorLayout, VhdlModule, VhdlOptions,
+};
 pub use package::fixed_package;
 pub use testbench::{generate_testbench, generate_vector_testbench};
 pub use vectors::{VectorError, VectorFile, VectorRecord};

@@ -12,15 +12,28 @@ use isl_hls::prelude::*;
 use isl_hls::sim::synthetic;
 
 /// Random expression over every op kind, any declared field, bounded depth
-/// and radius ≤ 2. Values may blow up under iteration — irrelevant for the
-/// equivalence properties, since Inf/NaN must propagate identically through
-/// both engines.
-pub fn arb_expr(rng: &mut Rng, fields: &[FieldId], n_params: usize, depth: u32) -> Expr {
+/// and radius ≤ 2, with rank-`rank` offsets (`dy == 0` at rank 1). Values
+/// may blow up under iteration — irrelevant for the equivalence
+/// properties, since Inf/NaN must propagate identically through both
+/// engines.
+pub fn arb_expr(
+    rng: &mut Rng,
+    fields: &[FieldId],
+    n_params: usize,
+    depth: u32,
+    rank: usize,
+) -> Expr {
     let leaf = |rng: &mut Rng| {
         match rng.weighted(&[4, 2, if n_params > 0 { 2 } else { 0 }]) {
             0 => {
                 let f = fields[rng.usize_in(0, fields.len() - 1)];
-                Expr::input(f, Offset::d2(rng.i32_in(-2, 2), rng.i32_in(-2, 2)))
+                let dx = rng.i32_in(-2, 2);
+                let offset = if rank == 1 {
+                    Offset::d1(dx)
+                } else {
+                    Offset::d2(dx, rng.i32_in(-2, 2))
+                };
+                Expr::input(f, offset)
             }
             1 => Expr::constant((rng.f64_in(-2.0, 2.0) * 8.0).round() / 8.0),
             _ => Expr::param(isl_hls::ir::ParamId::new(
@@ -46,18 +59,18 @@ pub fn arb_expr(rng: &mut Rng, fields: &[FieldId], n_params: usize, depth: u32) 
                 BinaryOp::Gt,
                 BinaryOp::Ge,
             ][rng.usize_in(0, 9)];
-            let lhs = arb_expr(rng, fields, n_params, depth - 1);
-            let rhs = arb_expr(rng, fields, n_params, depth - 1);
+            let lhs = arb_expr(rng, fields, n_params, depth - 1, rank);
+            let rhs = arb_expr(rng, fields, n_params, depth - 1, rank);
             Expr::binary(op, lhs, rhs)
         }
         2 => {
             let op = [UnaryOp::Neg, UnaryOp::Abs, UnaryOp::Sqrt][rng.usize_in(0, 2)];
-            Expr::unary(op, arb_expr(rng, fields, n_params, depth - 1))
+            Expr::unary(op, arb_expr(rng, fields, n_params, depth - 1, rank))
         }
         _ => {
-            let c = arb_expr(rng, fields, n_params, depth - 1);
-            let t = arb_expr(rng, fields, n_params, depth - 1);
-            let e = arb_expr(rng, fields, n_params, depth - 1);
+            let c = arb_expr(rng, fields, n_params, depth - 1, rank);
+            let t = arb_expr(rng, fields, n_params, depth - 1, rank);
+            let e = arb_expr(rng, fields, n_params, depth - 1, rank);
             Expr::select(c, t, e)
         }
     }
@@ -66,7 +79,12 @@ pub fn arb_expr(rng: &mut Rng, fields: &[FieldId], n_params: usize, depth: u32) 
 /// Random pattern: 1–3 fields (first dynamic, rest mixed), 0–2 parameters,
 /// one random update per dynamic field.
 pub fn arb_pattern(rng: &mut Rng) -> StencilPattern {
-    let mut p = StencilPattern::new(2).with_name("vmrand");
+    arb_pattern_of_rank(rng, 2)
+}
+
+/// [`arb_pattern`] of rank 1 or 2.
+pub fn arb_pattern_of_rank(rng: &mut Rng, rank: usize) -> StencilPattern {
+    let mut p = StencilPattern::new(rank).with_name("vmrand");
     let n_fields = rng.usize_in(1, 3);
     let mut ids = Vec::new();
     for i in 0..n_fields {
@@ -85,7 +103,7 @@ pub fn arb_pattern(rng: &mut Rng) -> StencilPattern {
     for (id, kind) in &ids {
         if *kind == FieldKind::Dynamic {
             let depth = rng.u32_in(1, 4);
-            let e = arb_expr(rng, &all_ids, n_params, depth);
+            let e = arb_expr(rng, &all_ids, n_params, depth, rank);
             p.set_update(*id, e).expect("dynamic field");
         }
     }

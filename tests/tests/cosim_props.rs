@@ -11,20 +11,27 @@
 //! 3. the **golden-vector exchange**: generated vectors certify cleanly,
 //!    survive a text round-trip, drive a structurally valid testbench —
 //!    and a deliberately injected rounding fault is caught and triaged to
-//!    the exact window, level and instruction.
+//!    the exact window, level and instruction;
+//! 4. the **two vector recorders**: the quantised cone-DAG engine's
+//!    recording (what `certify` stores) equals the scalar co-simulator's
+//!    golden vectors word for word at every width of the fuzzer's ladder,
+//!    and `certify` returns the certificate the co-simulator path assembles.
 
 use isl_tests::arb::{
-    arb_border, arb_local_border, arb_pattern, arb_window, assert_bitwise_eq, frames_for,
+    arb_border, arb_local_border, arb_pattern, arb_pattern_of_rank, arb_window,
+    assert_bitwise_eq, frames_for,
 };
 use isl_tests::prop::{check, Rng};
 
-use isl_hls::cosim::{eval_cone_raw, quantizer_of, CoSimulator, Fault};
+use isl_fuzz::{engine_vectors, WIDTH_LADDER};
+use isl_hls::cosim::{error_metrics, eval_cone_raw, quantizer_of, CoSimulator, Fault};
 use isl_hls::fpga::{eval_fixed, FixedFormat};
 use isl_hls::ir::Cone;
 use isl_hls::prelude::*;
 use isl_hls::sim::{CompiledCone, Quantizer};
 use isl_hls::vhdl::check::{verify_vectors, VectorCheckError};
 use isl_hls::vhdl::{generate_cone, generate_vector_testbench, VectorFile, VhdlOptions};
+use isl_hls::ArchitectureCertificate;
 
 const THREAD_MATRIX: [usize; 3] = [1, 2, 4];
 
@@ -328,5 +335,135 @@ fn verify_architecture_certifies_igf_and_chambolle() {
         assert!(cert.vector_words > 0, "{}", algo.name);
         assert!(!cert.vector_files.is_empty(), "{}", algo.name);
         assert!(cert.max_fixed_error.is_finite(), "{}", algo.name);
+    }
+}
+
+/// The quantised cone-DAG engine records the same golden vectors as the
+/// scalar co-simulator, byte for byte: random rank-1 and rank-2 patterns,
+/// every border mode, windows that do not tile the frame and depths that
+/// do not divide the iteration count, every thread count of the matrix and
+/// every width of the fuzzer's ladder — 63 and 64 bits included, where no
+/// `f64` comparison could tell the words apart.
+#[test]
+fn engine_vectors_equal_cosim_golden_vectors() {
+    check("engine_vectors_equal_cosim_golden_vectors", 36, |rng| {
+        let rank = rng.usize_in(1, 2);
+        let pattern = arb_pattern_of_rank(rng, rank);
+        let border = arb_border(rng);
+        let window = if rank == 1 {
+            Window::line(rng.u32_in(1, 5))
+        } else {
+            arb_window(rng)
+        };
+        let depth = rng.u32_in(1, 3);
+        // Remainder levels and partial edge tiles in most cases.
+        let iters = depth * rng.u32_in(0, 2) + rng.u32_in(1, depth + 1);
+        let w = window.w as usize * rng.usize_in(1, 3) + rng.usize_in(0, window.w as usize);
+        let h = if rank == 1 {
+            1
+        } else {
+            window.h as usize * rng.usize_in(1, 3) + rng.usize_in(0, window.h as usize)
+        };
+        let width = WIDTH_LADDER[rng.usize_in(0, WIDTH_LADDER.len() - 1)];
+        let frac = rng.u32_in(width / 2, width - 1);
+        let fmt = FixedFormat::new(width, frac);
+        let init = frames_for(&pattern, w, h, rng.u64());
+        let what = format!(
+            "rank {rank} {w}x{h} border {border} window {window} depth {depth} iters {iters} {fmt}"
+        );
+        let golden = CoSimulator::new(&pattern, fmt)
+            .expect("co-simulator builds")
+            .with_border(border)
+            .golden_vectors(&init, iters, window, depth)
+            .expect("co-simulator records");
+        for threads in THREAD_MATRIX {
+            let sim = Simulator::new(&pattern)
+                .expect("valid pattern")
+                .with_border(border)
+                .with_threads(threads);
+            let files = engine_vectors(&sim, &init, iters, window, depth, fmt)
+                .expect("engine records");
+            assert_eq!(files.len(), golden.len(), "{what} threads {threads}");
+            for (a, b) in files.iter().zip(&golden) {
+                assert_eq!(a.to_text(), b.to_text(), "{what} threads {threads}");
+                assert_eq!(a, b, "{what} threads {threads}");
+            }
+        }
+    });
+}
+
+/// On both case studies at their DSE-chosen decompositions, `certify`
+/// returns exactly the certificate the co-simulator path assembles: its
+/// golden vectors, its word counts, and error metrics measured on its
+/// integer cone-level run (bit patterns compared).
+#[test]
+fn certify_matches_cosim_assembled_certificate() {
+    for algo in [
+        isl_hls::algorithms::gaussian_igf(),
+        isl_hls::algorithms::chambolle(),
+    ] {
+        let session = IslSession::from_algorithm(&algo).expect("session builds");
+        let device = Device::virtex6_xc6vlx760();
+        let space = DesignSpace::new(2..=5, 1..=3, 4);
+        let explored = session
+            .explore(&device, session.workload(24, 18), &space)
+            .expect("explores");
+        let arch = explored.fastest().expect("feasible point").arch;
+        let init = frames_for(session.pattern(), 24, 18, 0xC0DE ^ algo.name.len() as u64);
+        let cert = session
+            .certify(&init, arch)
+            .unwrap_or_else(|e| panic!("{}: {e}", algo.name))
+            .certificate()
+            .as_ref()
+            .clone();
+
+        let fmt = session.synth_options().format;
+        let iters = session.iterations();
+        let (window, depth) = (arch.window, arch.depth);
+        let cosim = CoSimulator::new(session.pattern(), fmt)
+            .expect("co-simulator builds")
+            .with_border(session.border());
+        let vector_files = cosim
+            .golden_vectors(&init, iters, window, depth)
+            .expect("co-simulator records");
+        let (mut vector_records, mut vector_words) = (0, 0);
+        for file in &vector_files {
+            let cone = Cone::build(session.pattern(), file.window, file.depth).expect("cone");
+            let report = verify_vectors(&cone, fmt, file).expect("vectors certify");
+            vector_records += report.records;
+            vector_words += report.words;
+        }
+        let fixed = cosim
+            .run_cone_levels(&init, iters, window, depth)
+            .expect("integer run")
+            .dequantize(fmt);
+        let sim = session.simulator().expect("simulator");
+        let golden = sim.run(&init, iters).expect("golden run");
+        let exact = sim.run_cone_dag(&init, iters, window, depth).expect("exact run");
+        let metrics = error_metrics(&golden, &fixed);
+        let quant = error_metrics(&exact, &fixed);
+        let expected = ArchitectureCertificate {
+            arch,
+            iterations: iters,
+            format: fmt,
+            // Tiled and cone-DAG compiled/reference pairs, every element.
+            quantized_elements: 2 * init.len() * 24 * 18,
+            vector_files,
+            vector_records,
+            vector_words,
+            max_fixed_error: metrics.max_abs,
+            rms_fixed_error: metrics.rms,
+            max_quant_error: quant.max_abs,
+            rms_quant_error: quant.rms,
+        };
+        assert_eq!(cert, expected, "{}", algo.name);
+        for (got, want) in [
+            (cert.max_fixed_error, expected.max_fixed_error),
+            (cert.rms_fixed_error, expected.rms_fixed_error),
+            (cert.max_quant_error, expected.max_quant_error),
+            (cert.rms_quant_error, expected.rms_quant_error),
+        ] {
+            assert_eq!(got.to_bits(), want.to_bits(), "{}", algo.name);
+        }
     }
 }

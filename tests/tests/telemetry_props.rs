@@ -239,6 +239,19 @@ fn full_run_report_covers_all_stages() {
         assert!(caches.get(kind).is_some(), "caches.{kind} missing");
     }
     assert!(parsed.get("telemetry").is_some(), "embedded snapshot present");
+    // The Certified stage is attributed to its three child spans, and no
+    // certification work runs on the scalar co-simulation VM.
+    let spans = &report.snapshot().spans;
+    for child in ["quantised engine checks", "golden vectors", "vector verify"] {
+        assert!(
+            spans.iter().any(|s| s.cat == "certify" && s.name == child),
+            "certify span `{child}` missing"
+        );
+    }
+    assert!(
+        spans.iter().all(|s| s.cat != "cosim"),
+        "co-simulator spans in a certify/search run"
+    );
     // The trace of the same run must load as JSON too.
     isl_telemetry::json::parse(&report.chrome_trace()).expect("trace parses");
     // The human summary names every stage.
