@@ -22,7 +22,7 @@
 //! pre-saturation `i128` interval falls outside the rails
 //! ([`FixedFormat::saturates_wide`]). A program whose every instruction has
 //! `may_saturate == false` is **proven saturation-free** for that format —
-//! the certificate `search_format` uses to skip doomed probes.
+//! the certificate [`crate::Analysis::first_overflow`] reports.
 
 use isl_fpga::{isqrt_wide, FixedFormat};
 use isl_ir::{BinaryOp, UnaryOp};

@@ -136,12 +136,6 @@ impl Analysis {
         self.first_overflow
     }
 
-    /// Does any instruction possibly saturate? (See
-    /// [`Analysis::first_overflow`].)
-    pub fn may_saturate(&self) -> bool {
-        self.first_overflow.is_some()
-    }
-
     /// The proven interval of a result register of an SSA program (for
     /// kernels: `k.result()`).
     pub fn range_of(&self, reg: Reg) -> WordRange {
@@ -178,10 +172,9 @@ mod tests {
         // Inputs in [-1, 1]: the 4-sum reaches 4.0, well inside Q8.10.
         let one = fmt.quantize(1.0);
         let a = Analysis::of_cone(&cc, fmt, WordRange::new(-one, one)).unwrap();
-        assert!(!a.may_saturate(), "blur of |x|<=1 cannot clamp in Q8.10");
+        assert_eq!(a.first_overflow(), None, "blur of |x|<=1 cannot clamp in Q8.10");
         // Full-rails inputs: the 4-sum may clamp somewhere.
         let full = Analysis::of_cone(&cc, fmt, WordRange::full(fmt)).unwrap();
-        assert!(full.may_saturate());
         assert!(full.first_overflow().is_some());
     }
 

@@ -21,10 +21,8 @@
 //! 1. **Range & saturation certificates** ([`Analysis`]) — per-instruction
 //!    bounds for a given format, either proving saturation-freedom
 //!    ([`Analysis::first_overflow`]` == None`) or pinpointing the first
-//!    statically-overflowing instruction. `isl_hls::IslSession::search_format`
-//!    consults this to route statically-doomed escalation probes through a
-//!    cheap error-measurement-only path (bit-identical probe numbers, no
-//!    full certification), counting the skips in `StoreStats`.
+//!    statically-overflowing instruction: a saturation certificate over
+//!    *every* input in a word range, not a sampled observation.
 //! 2. **Bytecode verification** ([`verify_cone`] and friends) — def-before-use
 //!    over allocated slots, interference-freedom of the linear-scan slot
 //!    reuse, multi-root DCE soundness and CSE congruence, run as a debug

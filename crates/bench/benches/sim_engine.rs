@@ -413,11 +413,11 @@ fn main() {
         ));
     }
 
-    // Precision format search: cold (every probe certified from scratch)
-    // vs warm (the stored outcome), and the area of the searched format vs
-    // the Q8.10/18-bit default through the width-parameterised techmap.
-    // Smaller frames than the engine cases — each probe is a full
-    // certification of the architecture at that format.
+    // Precision format search: cold (every probe an engine run, the
+    // chosen format certified from scratch) vs warm (the stored outcome),
+    // and the area of the searched format vs the Q8.10/18-bit default
+    // through the width-parameterised techmap. Smaller frames than the
+    // engine cases.
     const FS_SIZE: usize = 64;
     let fs_arch = Architecture::new(Window::square(8), DEPTH, 2);
     let mut fs_rows: Vec<String> = Vec::new();
@@ -551,11 +551,8 @@ fn main() {
 
     // Static analysis: the abstract interpreter and the bytecode verifier
     // over the same w8 d2 cone the campaigns sweep — instructions/second
-    // is the cost of gating a probe or classifying a fault statically, and
-    // must stay orders of magnitude above the certification work it
-    // prunes. The pruning columns run the saturating-band format searches
-    // of the property suite and report how many full certification probes
-    // the range proof skipped, and what the whole gated search cost.
+    // is the cost of proving a format saturation-free or classifying a
+    // fault statically.
     let mut sa_rows: Vec<String> = Vec::new();
     for case in &cases {
         let params: Vec<f64> = case.pattern.params().iter().map(|p| p.default).collect();
@@ -577,59 +574,23 @@ fn main() {
         }
         let verify_t = t0.elapsed().as_secs_f64() / reps as f64;
 
-        // The saturating-band search: three-digit inputs overflow the
-        // early escalation widths of the Gaussian's 16x pre-normalisation
-        // sum; Chambolle's internal 1/lambda = 10x gain overflows on unit
-        // noise. Every statically-doomed escalation probe skips its full
-        // certification.
-        let fields = case.pattern.fields().len();
-        let sat_init = FrameSet::from_frames(
-            (0..fields)
-                .map(|i| {
-                    let noise = synthetic::noise(20, 14, 11 + i as u64);
-                    if case.name.starts_with("gaussian") {
-                        Frame::from_fn(20, 14, |x, y| 100.0 + 100.0 * noise.get(x, y))
-                    } else {
-                        noise
-                    }
-                })
-                .collect(),
-        )
-        .expect("frames");
-        let sat_arch = Architecture::new(Window::square(4), DEPTH, 1);
-        let session = IslSession::from_pattern(case.pattern.clone(), ITERS);
-        let t0 = Instant::now();
-        let searched = session
-            .search_format(&device, &sat_init, sat_arch, ErrorBudget::max_abs(1e-3))
-            .expect("searches");
-        let search_t = t0.elapsed().as_secs_f64();
-        let pruned = session.store_stats().analysis_pruned_probes;
-
         println!(
-            "static_analysis_{:<15} {} instrs: analyze {:>7.3} ms ({:>9.0} instrs/s) | verify {:>7.3} ms ({:>9.0} instrs/s) | saturating search {:>8.2} ms, {} of {} probes pruned -> {}",
+            "static_analysis_{:<15} {} instrs: analyze {:>7.3} ms ({:>9.0} instrs/s) | verify {:>7.3} ms ({:>9.0} instrs/s)",
             case.name,
             cc.len(),
             analyze_t * 1e3,
             cc.len() as f64 / analyze_t,
             verify_t * 1e3,
             cc.len() as f64 / verify_t,
-            search_t * 1e3,
-            pruned,
-            searched.probes().len(),
-            searched.format(),
         );
         sa_rows.push(format!(
-            "    {{\"name\": \"{}\", \"instructions\": {}, \"analyze_ms\": {:.4}, \"analyzed_instrs_per_s\": {:.0}, \"verify_ms\": {:.4}, \"verified_instrs_per_s\": {:.0}, \"saturating_search_ms\": {:.3}, \"probes\": {}, \"probes_pruned\": {}, \"searched_format\": \"{}\"}}",
+            "    {{\"name\": \"{}\", \"instructions\": {}, \"analyze_ms\": {:.4}, \"analyzed_instrs_per_s\": {:.0}, \"verify_ms\": {:.4}, \"verified_instrs_per_s\": {:.0}}}",
             case.name,
             cc.len(),
             analyze_t * 1e3,
             cc.len() as f64 / analyze_t,
             verify_t * 1e3,
             cc.len() as f64 / verify_t,
-            search_t * 1e3,
-            searched.probes().len(),
-            pruned,
-            searched.format(),
         ));
     }
 

@@ -31,9 +31,9 @@
 //!    quantised cone-DAG engine and certified word for word by `isl-vhdl`;
 //! 7. **FormatSearched** — precision design-space exploration
 //!    ([`IslSession::search_format`]): binary-search the narrowest
-//!    certified fixed-point format within an [`ErrorBudget`], with every
-//!    probed format's golden vectors and certificate cached in the store,
-//!    and the area saving measured through the width-parameterised
+//!    fixed-point format within an [`ErrorBudget`], each probe measured on
+//!    the quantised cone-DAG engine, then certify only the chosen format,
+//!    with the area saving measured through the width-parameterised
 //!    technology mapper.
 //!
 //! Every stage output is an immutable, `Arc`-shared handle backed by the

@@ -38,7 +38,7 @@ use isl_estimate::{
 use isl_fpga::{Device, FixedFormat, SynthOptions, Synthesizer};
 use isl_ir::{Cone, StencilPattern, Window};
 use isl_sim::parallel::par_map;
-use isl_sim::{level_depths, BorderMode, CompiledCone, FrameSet, Quantizer, Simulator};
+use isl_sim::{level_depths, BorderMode, FrameSet, Quantizer, Simulator};
 use isl_symexec::compile_str;
 use isl_vhdl::{
     check::verify_vectors, fixed_package, generate_cone, generate_testbench,
@@ -230,12 +230,6 @@ struct Spec {
     synth_options: SynthOptions,
     schedule: ScheduleModel,
     threads: usize,
-    /// Consult the `isl-analyze` saturation certificates during
-    /// `search_format` to route statically-doomed escalation probes
-    /// through the cheap error-measurement-only path. Outside every store
-    /// key on purpose: probe results are bit-identical either way, only
-    /// the work performed differs.
-    static_analysis: bool,
 }
 
 /// A staged-pipeline session: one stencil spec, one shared
@@ -326,7 +320,6 @@ impl IslSession {
                 synth_options: SynthOptions::default(),
                 schedule: ScheduleModel::default(),
                 threads: 0,
-                static_analysis: true,
             }),
             store: Arc::new(ArtifactStore::new()),
         }
@@ -369,18 +362,6 @@ impl IslSession {
     /// Cap the worker threads of engines and batch fans (0 = one per core).
     pub fn with_threads(mut self, threads: usize) -> Self {
         Arc::make_mut(&mut self.spec).threads = threads;
-        self
-    }
-
-    /// Enable or disable the `isl-analyze` saturation certificates inside
-    /// [`IslSession::search_format`] (default **on**). With analysis on,
-    /// an escalation probe whose width the analyzer proves may-saturating
-    /// skips its full certification and only measures the quantisation
-    /// error — the returned [`FormatSearchOutcome`] is bit-identical
-    /// either way (the property suite asserts it), and every skipped
-    /// probe is counted in [`StoreStats::analysis_pruned_probes`].
-    pub fn with_static_analysis(mut self, enabled: bool) -> Self {
-        Arc::make_mut(&mut self.spec).static_analysis = enabled;
         self
     }
 
@@ -1018,15 +999,17 @@ impl IslSession {
     /// per-pixel rounding noise — saturation residue is frac-independent
     /// and handled by the integer-bit escalation), which
     /// `tests/tests/format_search_props.rs` property-tests.
-    /// Every probe is a full [`IslSession::certify`] at that format —
-    /// quantised engines bitwise-checked, golden vectors generated and
-    /// verified word-for-word — so each probed format's vectors and
-    /// [`ArchitectureCertificate`] land in the artifact store. Re-running
-    /// the search warm (same budget) serves the stored outcome; re-running
-    /// with a *different* budget re-drives the binary search but serves
-    /// every previously-probed format from the store (zero new quantised
-    /// builds for overlapping probes — observable in
-    /// [`IslSession::store_stats`]).
+    /// Every probe runs the compiled quantised cone-DAG engine at that
+    /// format and measures its error against the stored exact reference —
+    /// bit-identically the `max/rms_quant_error` a full
+    /// [`IslSession::certify`] records, since certification measures the
+    /// same engine run. Only the chosen format is then certified in full
+    /// (quantised engines bitwise-checked, golden vectors generated and
+    /// verified word-for-word), so a cold search adds one certificate to
+    /// the artifact store, or none when that format was already certified.
+    /// Re-running the search warm (same budget) serves the stored outcome;
+    /// re-running with a *different* budget re-runs the probes and
+    /// certifies one format (observable in [`IslSession::store_stats`]).
     ///
     /// `device` anchors the area axis: the outcome reports the synthesised
     /// LUT area of `arch` at the chosen format vs. the session's default
@@ -1037,8 +1020,9 @@ impl IslSession {
     /// # Errors
     ///
     /// [`FlowError::Format`] when the budget is malformed or no format up
-    /// to `budget.max_width` bits meets it; [`FlowError::Verification`] /
-    /// [`FlowError::Simulation`] when a probe itself fails to certify.
+    /// to `budget.max_width` bits meets it; [`FlowError::Simulation`] when
+    /// a probe's engine run fails; [`FlowError::Verification`] /
+    /// [`FlowError::Simulation`] when the chosen format fails to certify.
     pub fn search_format(
         &self,
         device: &Device,
@@ -1072,9 +1056,10 @@ impl IslSession {
     }
 
     /// The cold path of [`IslSession::search_format`] — runs the actual
-    /// probes. Individual probe certificates, golden vectors and synthesis
-    /// reports still come from (and land in) the shared store, which is
-    /// what makes a re-search with a different budget incremental.
+    /// probes. The reference runs, compiled programs, the chosen format's
+    /// certificate and the synthesis reports come from (and land in) the
+    /// shared store, which is what makes a re-search with a different
+    /// budget incremental.
     fn search_format_cold(
         &self,
         device: &Device,
@@ -1085,8 +1070,8 @@ impl IslSession {
         // Dynamic range of the exact run fixes the starting integer bits:
         // the smallest signed integer field covering every input and output
         // sample, plus one headroom bit for intermediate growth inside a
-        // cone. The reference pair lands in the store, where every probe's
-        // certification reuses it.
+        // cone. The reference pair lands in the store, where every probe
+        // and the chosen format's certification reuse it.
         let refs = self.reference_runs(init, arch.window, arch.depth)?;
         let golden = &refs.0;
         let mut maxabs = 0.0f64;
@@ -1105,54 +1090,17 @@ impl IslSession {
         }
         int_bits = (int_bits + 1).clamp(2, budget.max_width.saturating_sub(1).max(1));
 
+        // A probe measures only what it reports: the quantisation error of
+        // the compiled quantised cone-DAG run on the session's store-backed
+        // simulator — the same engine run `certify` records and measures,
+        // so the numbers are bit-identical to the certificate's. Engine
+        // equivalence is the property suites' and the fuzzer's contract;
+        // only the chosen format is certified in full, below.
+        let sim = self.simulator()?;
         let mut probes: Vec<FormatProbe> = Vec::new();
         let probe = |fmt: FixedFormat| -> Result<FormatProbe, FlowError> {
             let _span = isl_telemetry::span!("search", "probe {}", fmt);
-            let certified = self.clone().with_format(fmt).certify(init, arch)?;
-            let c = certified.certificate();
-            Ok(FormatProbe {
-                format: fmt,
-                max_abs_error: c.max_quant_error,
-                rms_error: c.rms_quant_error,
-                within_budget: budget.admits(c.max_quant_error, c.rms_quant_error),
-            })
-        };
-
-        // Static saturation gate (`isl-analyze`): the fold-free cone
-        // program of this decomposition — the exact instruction set the
-        // bit-true engines execute — abstractly interpreted per candidate
-        // format over the measured value box. `may_saturate == false` is a
-        // proof; `true` flags the escalation probe as statically doomed,
-        // and the probe is then served by `light_probe`, which measures
-        // only the quantisation error the probe reports — one
-        // `run_cone_dag_quantized` on the session's store-backed simulator
-        // plus `error_metrics`, the same numbers `certify` records from its
-        // recording run of that engine, bit-identically — and skips the
-        // full certification (tree-walk cross-checks, golden vectors,
-        // vector verification, testbench). The verdict
-        // only ever picks between two bit-identical ways of computing the
-        // probe, so an over- or under-approximate gate costs work, never
-        // correctness.
-        let sat_gate = if self.spec.static_analysis {
-            let cone = self.cone_at(Stage::FormatSearch, arch.window, arch.depth)?;
-            let params: Vec<f64> =
-                self.spec.pattern.params().iter().map(|p| p.default).collect();
-            Some(CompiledCone::compile_with(&cone, &params, false))
-        } else {
-            None
-        };
-        let may_saturate = |fmt: FixedFormat| -> bool {
-            sat_gate.as_ref().is_some_and(|cc| {
-                let input =
-                    isl_analyze::WordRange::new(fmt.quantize(-maxabs), fmt.quantize(maxabs));
-                isl_analyze::Analysis::of_cone(cc, fmt, input)
-                    .map(|a| a.may_saturate())
-                    .unwrap_or(false)
-            })
-        };
-        let light_probe = |fmt: FixedFormat| -> Result<FormatProbe, FlowError> {
-            let _span = isl_telemetry::span!("search", "light probe {}", fmt);
-            let fixed = self.simulator()?.run_cone_dag_quantized(
+            let fixed = sim.run_cone_dag_quantized(
                 init,
                 self.spec.iterations,
                 arch.window,
@@ -1175,7 +1123,7 @@ impl IslSession {
         // bits cannot buy back) — trade fractional for integer bits and
         // retry while that keeps helping. A failure that escalation does
         // not improve is quantisation-limited: the budget is unreachable
-        // at this width cap, and further escalations would only certify
+        // at this width cap, and further escalations would only probe
         // strictly worse formats.
         let mut escalations = 0;
         let unreachable_budget = |probes: &[FormatProbe]| -> FlowError {
@@ -1200,27 +1148,7 @@ impl IslSession {
             ))
         };
         loop {
-            let fmt_w = FixedFormat::new(budget.max_width, budget.max_width - int_bits);
-            // A statically may-saturating escalation width gets the light
-            // probe; when it fails the budget (the overwhelmingly common
-            // outcome the proof predicts) the full certification was pure
-            // waste and is skipped — counted in
-            // `StoreStats::analysis_pruned_probes`. The rare flagged probe
-            // that still lands in budget re-runs in full, preserving the
-            // invariant that every passing probe holds a store-served
-            // certificate.
-            let p = if may_saturate(fmt_w) {
-                let lp = light_probe(fmt_w)?;
-                if lp.within_budget {
-                    probe(fmt_w)?
-                } else {
-                    self.store.note_pruned_probe();
-                    isl_telemetry::add("search.pruned_probes", 1);
-                    lp
-                }
-            } else {
-                probe(fmt_w)?
-            };
+            let p = probe(FixedFormat::new(budget.max_width, budget.max_width - int_bits))?;
             // Strictly worse than the previous widest probe: the lost
             // fractional bit cost more than the gained integer bit bought —
             // quantisation-limited, stop. (Saturation-limited escalations
@@ -1255,8 +1183,9 @@ impl IslSession {
             }
         }
         let chosen = FixedFormat::new(int_bits + hi, hi);
-        // `hi` is always a probed, passing frac, so this certify is served
-        // from the store.
+        // The search's one full certification: the chosen format's
+        // certificate (and golden vectors) land in the store, where the
+        // bundle stage reads them.
         let certificate = Arc::clone(
             self.clone()
                 .with_format(chosen)
@@ -1686,16 +1615,17 @@ impl ErrorBudget {
     }
 }
 
-/// One probed format of a search: the measured error of its certified run
-/// and the budget verdict. Probes are recorded in probe order (widest
-/// first, then the binary-search sequence).
+/// One probed format of a search: the measured error of its quantised
+/// cone-DAG run (bit-identical to the `max/rms_quant_error` a certificate
+/// at that format records) and the budget verdict. Probes are recorded in
+/// probe order (widest first, then the binary-search sequence).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FormatProbe {
     /// The probed format.
     pub format: FixedFormat,
-    /// Measured max-abs error of the certified run at this format.
+    /// Measured max-abs error of the quantised cone-DAG run at this format.
     pub max_abs_error: f64,
-    /// Measured RMS error of the certified run at this format.
+    /// Measured RMS error of the quantised cone-DAG run at this format.
     pub rms_error: f64,
     /// Whether this format meets the budget.
     pub within_budget: bool,

@@ -281,7 +281,7 @@ impl RefKey {
     }
 }
 
-/// Identity of one precision format search: the certified run it probes
+/// Identity of one precision format search: the run it probes
 /// (pattern, frames, border, decomposition, cores), the device and
 /// non-format synthesis options its area axis is computed under, the
 /// session's default format (the search reports area relative to it), and
@@ -339,7 +339,8 @@ pub struct StoreStats {
     /// Architecture certificates.
     pub certificates: CacheStats,
     /// Format-independent `f64` reference-run pairs (golden + exact
-    /// cone-DAG) shared by every certification of one decomposition.
+    /// cone-DAG) shared by every search probe and certification of one
+    /// decomposition.
     pub references: CacheStats,
     /// Precision format-search outcomes.
     pub searches: CacheStats,
@@ -355,11 +356,9 @@ pub struct StoreStats {
     pub load_skipped_corrupt: usize,
     /// Size of the persistent store file at the last load or flush, bytes.
     pub bytes_on_disk: u64,
-    /// Format-search escalation probes whose full certification was
-    /// skipped because the `isl-analyze` abstract interpreter proved the
-    /// width statically may-saturating and the cheap error measurement
-    /// confirmed the budget miss. Probe results stay bit-identical; this
-    /// counts avoided work only.
+    /// Always 0: format-search probes no longer certify, so there is no
+    /// certification left to prune. Kept only because the repository
+    /// benchmark still reads the field.
     pub analysis_pruned_probes: usize,
 }
 
@@ -429,12 +428,6 @@ impl std::fmt::Display for StoreStats {
             "{:<13} hits {:>6}   misses {:>6}   corrupt {:>4}   bytes {:>9}",
             "disk", self.disk_hits, self.disk_misses, self.load_skipped_corrupt, self.bytes_on_disk
         )?;
-        writeln!(f)?;
-        write!(
-            f,
-            "{:<13} pruned probes {:>4}",
-            "analysis", self.analysis_pruned_probes
-        )?;
         Ok(())
     }
 }
@@ -461,8 +454,6 @@ pub struct ArtifactStore {
     references: CacheMap<RefKey, (FrameSet, FrameSet)>,
     searches: CacheMap<SearchKey, FormatSearchOutcome>,
     disk: Option<DiskTier>,
-    /// See [`StoreStats::analysis_pruned_probes`].
-    pruned_probes: AtomicUsize,
 }
 
 impl Drop for ArtifactStore {
@@ -632,7 +623,8 @@ impl ArtifactStore {
     }
 
     /// The `(whole-frame golden, exact cone-DAG)` reference pair of one
-    /// decomposition — shared by every certification probing it.
+    /// decomposition — shared by every search probe and certification of
+    /// it.
     pub(crate) fn reference_runs<E>(
         &self,
         key: RefKey,
@@ -677,13 +669,7 @@ impl ArtifactStore {
             disk_misses: disk.misses as usize,
             load_skipped_corrupt: disk.skipped_corrupt as usize,
             bytes_on_disk: disk.bytes_on_disk,
-            analysis_pruned_probes: self.pruned_probes.load(Ordering::Relaxed),
+            analysis_pruned_probes: 0,
         }
-    }
-
-    /// Count one escalation probe whose full certification the static
-    /// analyzer's saturation proof made skippable.
-    pub(crate) fn note_pruned_probe(&self) {
-        self.pruned_probes.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -7,6 +7,11 @@
 //! `{"id": …, "ok": false, "error": "…"}`. Both directions reuse the
 //! in-repo JSON support from `isl-telemetry` — no external dependencies.
 //!
+//! Input is bounded: a request nested deeper than
+//! [`isl_telemetry::json::MAX_DEPTH`] is answered with an error line, and
+//! a line longer than [`MAX_REQUEST_LINE`] bytes is answered with an
+//! error line and closes its connection.
+//!
 //! ```text
 //! → {"op":"explore","id":1,"algo":"igf","width":64,"height":48}
 //! ← {"id":1,"ok":true,"result":{"points":12,"pareto":3,"fastest":{…}}}
@@ -15,6 +20,10 @@
 use std::fmt::Write as _;
 
 use isl_telemetry::json::{escape_into, parse, Value};
+
+/// The longest request line the service reads, newline included. The
+/// longest valid request is a few hundred bytes.
+pub const MAX_REQUEST_LINE: u64 = 64 * 1024;
 
 /// The operations the service answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, ErrorKind, Write as _};
+use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,7 +40,7 @@ use isl_hls::{
     StoreStats, VerifyRequest,
 };
 
-use crate::protocol::{err_line, ok_line, Op, Request};
+use crate::protocol::{err_line, ok_line, Op, Request, MAX_REQUEST_LINE};
 
 /// Configuration of one [`Server`].
 #[derive(Debug, Clone)]
@@ -372,7 +372,8 @@ fn process_batch(state: &ServiceState, batch: Vec<Job>) {
 
     // Format searches: individually (each is internally batched and
     // heavily store-served already). Same durability order: the searched
-    // outcome and its probe certificates hit disk before the reply.
+    // outcome and its chosen format's certificate hit disk before the
+    // reply.
     for job in searches {
         let _span = isl_telemetry::span!("serve", "search_format {}", job.request.algo);
         let line = match serve_search(state, &job.request) {
@@ -448,14 +449,26 @@ fn handle_client(state: Arc<ServiceState>, jobs: mpsc::Sender<Job>, stream: TcpS
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Never buffer more than one maximal line, however long the
+        // client's line is.
+        let room = MAX_REQUEST_LINE - line.len() as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(_) if line.len() as u64 == MAX_REQUEST_LINE && line.last() != Some(&b'\n') => {
+                let refusal =
+                    err_line(0, &format!("request line longer than {MAX_REQUEST_LINE} bytes"));
+                let _ = writer.write_all(format!("{refusal}\n").as_bytes());
+                break;
+            }
             Ok(0) => break,
             Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let response = handle_request(&state, &jobs, trimmed);
+                let response = match std::str::from_utf8(&line).map(str::trim) {
+                    Ok("") => None,
+                    Ok(request) => Some(handle_request(&state, &jobs, request)),
+                    Err(_) => Some(err_line(0, "request line is not UTF-8")),
+                };
+                if let Some(response) = response {
                     if writer
                         .write_all(response.as_bytes())
                         .and_then(|()| writer.write_all(b"\n"))

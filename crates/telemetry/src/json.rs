@@ -6,7 +6,8 @@
 //! is deliberately tiny: it accepts standard JSON (objects, arrays,
 //! strings with escapes, numbers, booleans, null) and reports the byte
 //! offset of the first error. It is a validator-grade parser, not a
-//! general serde replacement.
+//! general serde replacement. Nesting is capped at [`MAX_DEPTH`], so
+//! hostile input is an error instead of a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -88,10 +89,16 @@ impl Value {
     }
 }
 
-/// Parse a complete JSON document. Trailing non-whitespace is an error.
+/// The deepest array/object nesting [`parse`] accepts. The documents this
+/// workspace writes nest at most 5 deep; the cap bounds the parser's
+/// recursion on untrusted input well inside a default thread stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document. Trailing non-whitespace, and nesting
+/// deeper than [`MAX_DEPTH`], are errors.
 pub fn parse(s: &str) -> Result<Value, String> {
     let bytes = s.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -104,6 +111,8 @@ pub fn parse(s: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Open arrays/objects around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -141,8 +150,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                self.err(&format!("nesting deeper than {MAX_DEPTH}"))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -150,6 +162,14 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    /// Parse one array or object one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -305,6 +325,19 @@ mod tests {
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[2].as_num(), Some(-300.0));
         assert_eq!(v.get("b").and_then(|b| b.get("c")), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn caps_nesting_depth() {
+        let doc = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&doc(MAX_DEPTH)).is_ok());
+        let err = parse(&doc(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // A hostile 100 000-deep request is refused on a default-stack
+        // thread instead of overflowing its stack.
+        let line = format!(r#"{{"op":"ping","x":{}}}"#, doc(100_000));
+        let refused = std::thread::spawn(move || parse(&line).is_err()).join();
+        assert_eq!(refused.ok(), Some(true));
     }
 
     #[test]

@@ -94,15 +94,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  ...");
 
     // Stage 6 (FormatSearched): shrink the datapath word under an error
-    // budget. The search is gated by `isl-analyze`, an abstract
-    // interpreter over the compiled cone bytecode: before certifying an
-    // escalation width it proves, in the raw fixed-point word domain,
-    // whether that width can saturate on the measured value range. A
-    // bright three-digit input drives the blur's 16x pre-normalisation
-    // sum over the early widths' rails, so those probes are *statically
-    // doomed* — each one's full bit-true certification is replaced by the
-    // range proof plus a light error measurement (bit-identical result,
-    // counted under `analysis pruned probes` below).
+    // budget. Each probe measures the quantised cone-DAG engine's error at
+    // one width; only the chosen format is certified bit-true. A bright
+    // three-digit input drives the blur's 16x pre-normalisation sum over
+    // the rails of the first widths, so the search escalates its integer
+    // bits before it narrows the fraction.
     let search_session = IslSession::from_source(KERNEL)?;
     let bright = FrameSet::from_frames(vec![Frame::from_fn(20, 14, |x, y| {
         100.0 + ((x * 7 + y * 13) % 100) as f64
@@ -110,14 +106,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = Architecture::new(Window::square(4), 2, 1);
     let searched =
         search_session.search_format(&device, &bright, arch, ErrorBudget::max_abs(1e-3))?;
-    let search_stats = search_session.store_stats();
     println!(
-        "\n== format search on bright input: {} after {} probes ({} certify probes pruned by saturation proofs) ==",
+        "\n== format search on bright input: {} after {} probes ==",
         searched.format(),
         searched.probes().len(),
-        search_stats.analysis_pruned_probes,
     );
-    // The same analyzer hands out the positive certificate: at the chosen
+    // `isl-analyze`, an abstract interpreter over the compiled cone
+    // bytecode, hands out the saturation certificate: at the chosen
     // format, no instruction of the cone program can clamp for any input
     // in the bright band — `first_overflow() == None` is a proof over
     // *all* such inputs, not a sampled observation.

@@ -1,8 +1,8 @@
 //! Properties of the precision design-space exploration (`FormatSearch`):
 //! the monotonicity invariant the binary search relies on, bit-true
 //! certification of the searched format, width-monotone area through the
-//! parameterised techmap, and zero redundant quantised builds on warm
-//! re-searches (the artifact-store acceptance criterion).
+//! parameterised techmap, and probes that equal a full certify at their
+//! format while a search certifies only the format it chooses.
 
 use std::sync::Arc;
 
@@ -131,61 +131,113 @@ fn searched_format_is_certified_and_no_wider_than_default() {
     }
 }
 
+/// Search `init` under `budget` and check the outcome against explicit
+/// certification: the search adds one certificate miss, or none when
+/// `certified` already holds the chosen format, and every returned probe
+/// equals a full certify at its format, error bits included — so the
+/// outcome is the one a search certifying every probe would return.
+/// Every format certified here is added to `certified`.
+fn search_and_check(
+    session: &IslSession,
+    init: &FrameSet,
+    arch: Architecture,
+    budget: ErrorBudget,
+    certified: &mut Vec<FixedFormat>,
+    case: &str,
+) -> FormatSearched {
+    let device = Device::virtex6_xc6vlx760();
+    let before = session.store_stats().certificates.misses;
+    let searched = session.search_format(&device, init, arch, budget).unwrap();
+    let chosen = searched.format();
+    assert_eq!(
+        session.store_stats().certificates.misses - before,
+        usize::from(!certified.contains(&chosen)),
+        "{case}: a search certifies its chosen format {chosen} and nothing else"
+    );
+    for p in searched.probes() {
+        let cert = session.clone().with_format(p.format).certify(init, arch).unwrap();
+        let c = cert.certificate();
+        assert_eq!(
+            (p.max_abs_error.to_bits(), p.rms_error.to_bits(), p.within_budget),
+            (
+                c.max_quant_error.to_bits(),
+                c.rms_quant_error.to_bits(),
+                budget.admits(c.max_quant_error, c.rms_quant_error)
+            ),
+            "{case}: probe at {} differs from its certificate",
+            p.format
+        );
+        assert!(
+            p.format != chosen || Arc::ptr_eq(c, searched.certificate()),
+            "{case}: the outcome's certificate is not the stored one"
+        );
+        if !certified.contains(&p.format) {
+            certified.push(p.format);
+        }
+    }
+    searched
+}
+
 /// The store acceptance criterion: a warm re-search with the same budget is
-/// a pure store lookup — zero new quantised builds (compiled programs,
-/// golden-vector sets, certificates), the outcome served by pointer — and a
-/// re-search with a *different* budget still reuses every previously probed
-/// format's certificate.
+/// the stored outcome by pointer with zero new quantised builds (compiled
+/// programs, golden-vector sets, certificates), and a re-search with a
+/// tighter budget certifies at most one more format — because a search
+/// certifies only the format it chooses. Checked on both case studies,
+/// over the default noise frames and over an escalating band whose first
+/// widths saturate. Gaussian's 3×3 binomial sums 16× the signal before
+/// normalising, so a three-digit band overflows the early escalation
+/// widths; Chambolle amplifies `g` by 1/λ = 10× internally, so unit-band
+/// noise already does.
 #[test]
 fn warm_research_does_zero_quantized_builds() {
-    let device = Device::virtex6_xc6vlx760();
-    let (session, init) = session_and_frames(&isl_hls::algorithms::gaussian_igf());
     let arch = Architecture::new(Window::square(4), 2, 1);
-    let baseline = session.certify(&init, arch).unwrap();
-    let budget = ErrorBudget::max_abs(baseline.certificate().max_quant_error);
-
-    let first = session.search_format(&device, &init, arch, budget).unwrap();
-    let cold = session.store_stats();
-    assert_eq!(cold.searches.misses, 1);
-    assert!(cold.certificates.misses > 1, "probes must certify");
-
-    // Same budget: the stored outcome, by pointer, nothing rebuilt.
-    let warm = session.search_format(&device, &init, arch, budget).unwrap();
-    let stats = session.store_stats();
-    assert!(Arc::ptr_eq(first.outcome(), warm.outcome()));
-    assert_eq!(stats.searches.misses, 1);
-    assert_eq!(stats.searches.hits, 1);
-    assert_eq!(
-        cold.quantized_build_misses(),
-        stats.quantized_build_misses(),
-        "warm re-search rebuilt quantised artifacts"
-    );
-    assert_eq!(cold.cones.misses, stats.cones.misses);
-    assert_eq!(cold.syntheses.misses, stats.syntheses.misses);
-
-    // Tighter budget: a different search key (so it runs), but every
-    // previously probed format is served from the store — certificate
-    // *hits* grow, and only genuinely new formats add misses.
-    let before = session.store_stats();
-    let tighter = session
-        .search_format(&device, &init, arch, ErrorBudget::max_abs(budget.max_abs / 8.0))
+    let budget = ErrorBudget::max_abs(1e-3);
+    for algo in [
+        isl_hls::algorithms::gaussian_igf(),
+        isl_hls::algorithms::chambolle(),
+    ] {
+        let (_, noise) = session_and_frames(&algo);
+        let band = FrameSet::from_frames(
+            (0..noise.len())
+                .map(|i| {
+                    let noise = synthetic::noise(20, 14, 11 + i as u64);
+                    if algo.name == "igf" {
+                        Frame::from_fn(20, 14, |x, y| 100.0 + 100.0 * noise.get(x, y))
+                    } else {
+                        noise
+                    }
+                })
+                .collect(),
+        )
         .unwrap();
-    let after = session.store_stats();
-    assert!(tighter.format().frac >= first.format().frac);
-    assert!(
-        after.certificates.hits > before.certificates.hits,
-        "tighter re-search must reuse previously probed formats"
-    );
-    let new_formats: Vec<_> = tighter
-        .probes()
-        .iter()
-        .filter(|p| first.probes().iter().all(|q| q.format != p.format))
-        .collect();
-    assert_eq!(
-        after.certificates.misses - before.certificates.misses,
-        new_formats.len(),
-        "every re-probed format must come from the store"
-    );
+        for (frames, init) in [("noise", noise), ("band", band)] {
+            let case = format!("{} on {frames}", algo.name);
+            let session = IslSession::from_algorithm(&algo).unwrap();
+            let mut certified = Vec::new();
+            let first = search_and_check(&session, &init, arch, budget, &mut certified, &case);
+
+            // Same budget: the stored outcome, by pointer, nothing rebuilt.
+            let cold = session.store_stats();
+            let warm = session
+                .search_format(&Device::virtex6_xc6vlx760(), &init, arch, budget)
+                .unwrap();
+            let stats = session.store_stats();
+            assert!(Arc::ptr_eq(first.outcome(), warm.outcome()), "{case}");
+            assert_eq!(stats.searches.hits, cold.searches.hits + 1, "{case}");
+            assert_eq!(
+                cold.quantized_build_misses(),
+                stats.quantized_build_misses(),
+                "{case}: warm re-search rebuilt quantised artifacts"
+            );
+            assert_eq!(cold.cones.misses, stats.cones.misses, "{case}");
+            assert_eq!(cold.syntheses.misses, stats.syntheses.misses, "{case}");
+
+            // Tighter budget: a different search key, so the probes run
+            // again, and at most one format is newly certified.
+            let tighter = ErrorBudget::max_abs(budget.max_abs / 8.0);
+            search_and_check(&session, &init, arch, tighter, &mut certified, &case);
+        }
+    }
 }
 
 /// Randomised budgets on the blur kernel: every successful search returns a

@@ -1,11 +1,14 @@
 //! The serving front-end: concurrent clients on one warm service,
-//! single-flight de-duplication of identical requests, and warm restarts
+//! single-flight de-duplication of identical requests, warm restarts
 //! proven through the wire (`stats` op), not just through in-process
-//! counters.
+//! counters, and bounded input: hostile lines are refused, not fatal.
 
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
-use isl_serve::{Client, Op, Request, ServeConfig, Server};
+use isl_serve::{parse_response, Client, Op, Request, ServeConfig, Server};
 
 fn state_dir(test: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -144,4 +147,57 @@ fn restarted_service_answers_warm() {
     drop(client);
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One client's over-deep and over-long lines are answered with
+/// structured errors — the deep one on a connection that stays usable,
+/// the long one closing its connection — while another client's requests
+/// are still answered.
+#[test]
+fn hostile_lines_are_refused_and_others_still_served() {
+    let handle = Server::start(ServeConfig::default()).unwrap();
+    let mut other = Client::connect(handle.addr()).unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        parse_response(line.trim()).unwrap().1
+    };
+
+    // Nested 10 000 deep: inside the line cap, far past the nesting cap.
+    let deep = format!(
+        "{{\"op\":\"ping\",\"x\":{}0{}}}\n",
+        "[".repeat(10_000),
+        "]".repeat(10_000)
+    );
+    writer.write_all(deep.as_bytes()).unwrap();
+    let err = reply().unwrap_err();
+    assert!(err.contains("nesting deeper than"), "{err}");
+    writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    assert!(reply().is_ok(), "the deep line closed its connection");
+    other.ping().unwrap();
+
+    // A 4 MiB line: refused after the first 64 KiB, then the connection
+    // closes. The writer may see the close before it has sent everything.
+    let sender = std::thread::spawn(move || {
+        let mut line = vec![b'x'; 4 << 20];
+        line.push(b'\n');
+        let _ = writer.write_all(&line);
+    });
+    let err = reply().unwrap_err();
+    assert!(err.contains("request line longer than"), "{err}");
+    let mut rest = String::new();
+    match reader.read_line(&mut rest) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("connection left open: {other:?} {rest:?}"),
+    }
+    sender.join().unwrap();
+
+    other.ping().unwrap();
+    assert!(other.stats("igf").is_ok());
+    handle.shutdown();
 }

@@ -191,7 +191,7 @@ fn full_run_report_covers_all_stages() {
     .expect("frames");
     let certified = explored.certify_fastest(&init).expect("certify");
     let budget = ErrorBudget::max_abs(certified.certificate().max_quant_error);
-    session
+    let searched = session
         .search_format(&device, &init, best.arch, budget)
         .expect("search");
 
@@ -252,6 +252,29 @@ fn full_run_report_covers_all_stages() {
         spans.iter().all(|s| s.cat != "cosim"),
         "co-simulator spans in a certify/search run"
     );
+    // The search measured every probe on the engine, one span each, and
+    // certified only the format it chose.
+    let probe_spans = spans
+        .iter()
+        .filter(|s| s.cat == "search" && s.name.starts_with("probe "))
+        .count();
+    assert_eq!(probe_spans, searched.probes().len(), "one span per probe");
+    let search = spans
+        .iter()
+        .find(|s| s.cat == "stage" && s.name == "FormatSearched")
+        .expect("FormatSearched span recorded");
+    let certifies = spans
+        .iter()
+        .filter(|s| {
+            s.cat == "stage"
+                && s.name == "Certified"
+                && s.lane == search.lane
+                && s.depth > search.depth
+                && search.start_us <= s.start_us
+                && s.start_us + s.dur_us <= search.start_us + search.dur_us
+        })
+        .count();
+    assert_eq!(certifies, 1, "the search certifies only its chosen format");
     // The trace of the same run must load as JSON too.
     isl_telemetry::json::parse(&report.chrome_trace()).expect("trace parses");
     // The human summary names every stage.
