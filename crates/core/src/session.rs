@@ -790,15 +790,7 @@ impl IslSession {
     /// mismatched frame sets.
     pub fn certify(&self, init: &FrameSet, arch: Architecture) -> Result<Certified, FlowError> {
         let _span = isl_telemetry::span("stage", "Certified");
-        let key = RunKey::new(
-            self.spec.fingerprint,
-            init,
-            self.spec.synth_options.format,
-            self.spec.border,
-            self.spec.iterations,
-            arch.window,
-            arch.depth,
-        );
+        let key = self.run_key(init, arch.window, arch.depth);
         let artifact = key.describe();
         let vector_key = key.clone();
         let certificate = self
@@ -874,21 +866,7 @@ impl IslSession {
         // decomposition at another core count serves the stored firings
         // and runs the engine without recording.
         let span_g = isl_telemetry::span("certify", "golden vectors");
-        let mut recorded = None;
-        let vector_files = self.store.golden_vectors(vector_key, || {
-            let run = sim.record_cone_dag_quantized(init, iters, window, depth, fmt)?;
-            let mut files = Vec::with_capacity(run.shapes.len());
-            for (d, firings) in run.shapes {
-                let cone = self.cone_at(Stage::Certify, window, d)?;
-                let mut layout = VectorLayout::new(&cone, fmt, sim.params());
-                for f in firings {
-                    layout.push(f.level, f.tile, &f.inputs, f.outputs);
-                }
-                files.push(layout.into_file());
-            }
-            recorded = Some(run.frames);
-            Ok::<_, FlowError>(files)
-        })?;
+        let (vector_files, recorded) = self.golden_vectors(&sim, init, vector_key)?;
         let dag = match recorded {
             Some(frames) => frames,
             None => sim.run_cone_dag_quantized(init, iters, window, depth, q)?,
@@ -956,6 +934,49 @@ impl IslSession {
             max_quant_error: quant.max_abs,
             rms_quant_error: quant.rms,
         })
+    }
+
+    /// The store key of this spec's run of the decomposition `(window,
+    /// depth)` over `init`.
+    fn run_key(&self, init: &FrameSet, window: Window, depth: u32) -> RunKey {
+        RunKey::new(
+            self.spec.fingerprint,
+            init,
+            self.spec.synth_options.format,
+            self.spec.border,
+            self.spec.iterations,
+            window,
+            depth,
+        )
+    }
+
+    /// The golden vectors of the run `key` names, through the store. On a
+    /// miss the quantised cone-DAG engine records every cone firing, laid
+    /// out as one [`VectorFile`] per distinct cone depth, and the run's
+    /// final frames come back with the files.
+    fn golden_vectors(
+        &self,
+        sim: &Simulator<'_>,
+        init: &FrameSet,
+        key: RunKey,
+    ) -> Result<(Arc<Vec<VectorFile>>, Option<FrameSet>), FlowError> {
+        let (fmt, iters, window, depth) = (key.format, key.iterations, key.window, key.depth);
+        let mut recorded = None;
+        let files = self.store.golden_vectors(key, || {
+            let run = sim.record_cone_dag_quantized(init, iters, window, depth, fmt)?;
+            let mut files = Vec::with_capacity(run.shapes.len());
+            for (d, firings) in run.shapes {
+                let cone = self.cone_at(Stage::Certify, window, d)?;
+                let mut layout = VectorLayout::new(&cone, fmt, sim.params());
+                for f in firings {
+                    layout.push(f.level, f.tile, &f.inputs, f.outputs);
+                }
+                files.push(layout.into_file());
+            }
+            recorded = Some(run.frames);
+            Ok::<_, FlowError>(files)
+        })?;
+        Ok((files, recorded))
     }
 
     /// The `(whole-frame golden, exact cone-DAG)` `f64` reference pair of
@@ -1034,15 +1055,7 @@ impl IslSession {
         budget
             .validate()
             .map_err(|e| e.at(Stage::FormatSearch, None))?;
-        let run_key = RunKey::new(
-            self.spec.fingerprint,
-            init,
-            self.spec.synth_options.format,
-            self.spec.border,
-            self.spec.iterations,
-            arch.window,
-            arch.depth,
-        );
+        let run_key = self.run_key(init, arch.window, arch.depth);
         let key = SearchKey::new(run_key, arch.cores, device, &self.spec.synth_options, &budget);
         let artifact = key.describe();
         let outcome = self
@@ -1491,12 +1504,16 @@ impl Certified {
 
     /// Quantify the certificate's *detection power*: sweep every
     /// instruction of the certified decomposition's cone programs against
-    /// `schedule`'s fault models (bit-flips, stuck-ats) on `init`, replay
-    /// the recorded golden stimuli under each fault, and report how many
-    /// injected faults the golden-vector check would catch — detected /
-    /// masked / silent counts, per-level breakdown and detection latency,
-    /// each detection triaged to instruction granularity
-    /// ([`isl_cosim::FaultCoverageReport`]).
+    /// `schedule`'s fault models (bit-flips, stuck-ats) over the golden
+    /// vectors of the run on `init` ([`CoSimulator::fault_sweep`]), and
+    /// report how many injected faults the golden-vector check would
+    /// catch — detected / masked / silent counts, per-level breakdown and
+    /// detection latency, each detection triaged to instruction
+    /// granularity ([`isl_cosim::FaultCoverageReport`]).
+    ///
+    /// The vectors come from the store: on the certified frames they are
+    /// the certificate's own; other frames are recorded by the quantised
+    /// cone-DAG engine, the way `certify` records them, and stored.
     ///
     /// Certification proves the clean datapath computes the right words;
     /// the campaign measures how loudly that proof fails when a bit
@@ -1504,21 +1521,25 @@ impl Certified {
     ///
     /// # Errors
     ///
-    /// [`FlowError::Verification`] / [`FlowError::Simulation`] via the
-    /// cosim campaign driver (frame-set mismatch, cone construction).
+    /// [`FlowError::Simulation`] when `init` does not match the pattern's
+    /// fields; [`FlowError::Verification`] from the sweep (a vector file
+    /// that fails its oracle check, cone construction).
     pub fn fault_campaign(
         &self,
         init: &FrameSet,
         schedule: &isl_cosim::MaskSchedule,
     ) -> Result<isl_cosim::FaultCoverageReport, FlowError> {
-        let cert = &self.certificate;
-        let spec = &self.session.spec;
-        let cosim = CoSimulator::new(&spec.pattern, cert.format)
-            .map_err(|e| FlowError::from(e).at(Stage::Certify, None))?
-            .with_border(spec.border);
-        cosim
-            .fault_campaign(init, cert.iterations, cert.arch.window, cert.arch.depth, schedule)
-            .map_err(|e| FlowError::from(e).at(Stage::Certify, None))
+        let (session, cert) = (&self.session, &self.certificate);
+        let (window, depth) = (cert.arch.window, cert.arch.depth);
+        let sweep = || -> Result<_, FlowError> {
+            let sim = session.simulator()?;
+            let key = session.run_key(init, window, depth);
+            let (files, _) = session.golden_vectors(&sim, init, key)?;
+            let cosim = CoSimulator::new(&session.spec.pattern, cert.format)?
+                .with_border(session.spec.border);
+            Ok(cosim.fault_sweep(&files, cert.iterations, window, depth, schedule)?)
+        };
+        sweep().map_err(|e| e.at(Stage::Certify, None))
     }
 }
 

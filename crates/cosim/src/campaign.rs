@@ -4,15 +4,14 @@
 //! datapath bit breaks, does the golden-vector check notice?* The driver
 //! sweeps **every instruction** of an architecture's compiled cone programs
 //! against a [`MaskSchedule`] of [`FaultModel`]s (transient bit-flips,
-//! stuck-at-0, stuck-at-1), replays the recorded clean stimuli of a real
-//! run under each fault, and classifies every injected fault:
+//! stuck-at-0, stuck-at-1) over the golden vectors of a real run, and
+//! classifies every injected fault:
 //!
 //! * **detected** — some firing's output word diverges from the clean
 //!   golden response; the firing index is the *detection latency in
 //!   windows*, and the firing's level localises it in the architecture
-//!   decomposition. Each detection is confirmed at instruction granularity
-//!   by [`CoSimulator::triage_vectors`] on a reconstructed faulty vector
-//!   file;
+//!   decomposition. Each detection is triaged to its instruction: the
+//!   detecting firing's faulty trace first diverges at the injected one;
 //! * **masked** — the fault corrupts the instruction's result word in at
 //!   least one firing, but the corruption never reaches an output (logical
 //!   masking in the cone DAG);
@@ -20,21 +19,29 @@
 //!   campaign's stimuli (a stuck-at that agrees with the value it would
 //!   force), so no test could observe it.
 //!
-//! The sweep is replay-based, not rerun-based: the clean run's per-firing
-//! stimulus/response words are recorded once
-//! ([`CoSimulator::golden_vectors`]) and every fault replays individual
-//! firings through [`eval_cone_raw_traced`] with early exit at the first
-//! detection — the cost per fault is a handful of cone evaluations, not a
-//! whole-frame co-simulation.
+//! The sweep propagates faults over the clean run instead of replaying it.
+//! Each cone shape's vector file is verified once against the independent
+//! oracle ([`isl_vhdl::check::verify_vectors`]), and the scalar VM
+//! ([`eval_cone_raw_traced`]) runs once per record to keep the clean word
+//! of every instruction. A fault then visits only the records where it
+//! changes its instruction's word, and on each re-evaluates only that
+//! instruction's fan-out: an instruction runs again when one of its
+//! operands changed, and counts as changed only when its word differs from
+//! the clean word, so reconvergence ends the propagation. The first record
+//! whose propagation changes an output word is the detection.
+
+use std::collections::HashMap;
 
 use isl_fpga::FixedFormat;
-use isl_ir::{Cone, Window};
-use isl_sim::{CompiledCone, FrameSet};
+use isl_ir::{Cone, FieldId, FieldKind, Point, Window};
+use isl_sim::{CompiledCone, FrameSet, Instr};
+use isl_vhdl::check::{verify_vectors, VectorCheckError};
+use isl_vhdl::codegen;
 use isl_vhdl::vectors::VectorFile;
 
-use crate::cosim::{replay_read, CoSimulator, TriageOutcome};
+use crate::cosim::CoSimulator;
 use crate::error::CosimError;
-use crate::vm::{eval_cone_raw_traced, Fault, FaultModel};
+use crate::vm::{eval_cone_raw_traced, exec, Fault, FaultModel};
 
 /// Which corruptions a campaign injects at every instruction: a set of bit
 /// masks crossed with the enabled fault-model kinds.
@@ -146,7 +153,7 @@ pub struct LevelDetections {
 }
 
 /// One detected fault of the report's sample: where it was injected, where
-/// it was first observed, and whether triage confirmed the instruction.
+/// it was first observed, and whether triage traced it to its instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectedFault {
     /// The injected fault.
@@ -161,8 +168,9 @@ pub struct DetectedFault {
     pub latency: usize,
     /// Decomposition level of the first diverging firing.
     pub level: u32,
-    /// Whether [`CoSimulator::triage_vectors`] pinned the reconstructed
-    /// faulty vector file back to exactly this instruction.
+    /// Whether the faulty trace of the detecting record first diverges
+    /// from the clean trace at exactly this instruction (the oracle-verified
+    /// clean file makes the oracle disagree with the faulty response).
     pub triaged: bool,
 }
 
@@ -197,7 +205,9 @@ pub struct FaultCoverageReport {
     /// `predicted_silent <= silent` always (the property suite asserts
     /// the subset relation against the measured outcomes).
     pub predicted_silent: usize,
-    /// Detections confirmed at instruction granularity by triage.
+    /// Detections triaged to their instruction: the detecting record's
+    /// faulty trace first diverges from its clean trace at the injected
+    /// instruction (see [`DetectedFault::triaged`]).
     pub triaged: usize,
     /// Classification split by fault-model kind.
     pub by_model: Vec<ModelCoverage>,
@@ -276,15 +286,205 @@ impl std::fmt::Display for FaultCoverageReport {
     }
 }
 
-/// Internal per-shape campaign state: the compiled program, the shape's
-/// vector file, the clean per-record instruction traces, and the static
-/// per-instruction facts (when the slot program lifts cleanly — it always
-/// does for compiler-produced programs; `None` merely disables prediction).
-struct ShapeRun<'f> {
+/// One cone shape of a sweep: its program, the fan-out of every
+/// instruction and the clean trace of every record of its verified vector
+/// file.
+struct Shape<'f> {
     file: &'f VectorFile,
     cc: CompiledCone,
-    traces: Vec<Vec<i64>>,
+    /// `cc`'s code with every operand naming the instruction that defines
+    /// it instead of a slot, so that a trace serves as the register file.
+    code: Vec<Instr>,
+    /// The instructions reading each instruction's word, ascending.
+    users: Vec<Vec<u32>>,
+    /// Whether each instruction is the capture point of an output.
+    captured: Vec<bool>,
+    /// Stimulus column of every input tap `(field, dx, dy)` the program
+    /// reads.
+    taps: HashMap<(u16, i32, i32), usize>,
+    /// Clean traces, record after record: word `i` of record `r` is
+    /// `traces[r * len + i]`.
+    traces: Vec<i64>,
+    /// Static per-instruction facts (when the slot program lifts cleanly —
+    /// it always does for compiler-produced programs; `None` merely
+    /// disables prediction).
     analysis: Option<isl_analyze::Analysis>,
+}
+
+impl<'f> Shape<'f> {
+    fn new(cosim: &CoSimulator<'_>, file: &'f VectorFile) -> Result<Self, CosimError> {
+        let fmt = cosim.format();
+        let cone = Cone::build(cosim.pattern(), file.window, file.depth)?;
+        verify_vectors(&cone, fmt, file).map_err(|e| match e {
+            VectorCheckError::Incompatible(m) => CosimError::Incompatible(m),
+            mismatch @ VectorCheckError::Mismatch(_) => CosimError::Sim(format!(
+                "golden vectors of `{}` fail verification: {mismatch}",
+                file.entity
+            )),
+        })?;
+        let cc = CompiledCone::compile_with(&cone, &cosim.params, false);
+        let len = cc.len();
+
+        let mut def = vec![0u32; cc.slots().max(1)];
+        let mut code = Vec::with_capacity(len);
+        let mut users = vec![Vec::new(); len];
+        let mut taps = HashMap::new();
+        for (i, instr) in cc.code().iter().enumerate() {
+            // Rename slot operand `r` to the instruction that defines it,
+            // whose users `i` joins.
+            let mut d = |r: &mut u32| {
+                *r = def[*r as usize];
+                users[*r as usize].push(i as u32);
+            };
+            let mut ssa = *instr;
+            match &mut ssa {
+                Instr::Unary { a, .. } => d(a),
+                Instr::Binary { a, b, .. } => [a, b].into_iter().for_each(d),
+                Instr::Select { c, t, e } => [c, t, e].into_iter().for_each(d),
+                Instr::Input { field, dx, dy } => {
+                    let (fid, point) = (FieldId::new(*field), Point::d2(*dx, *dy));
+                    let port = if cosim.pattern().field(fid).kind == FieldKind::Static {
+                        codegen::static_port_name(fid, point)
+                    } else {
+                        codegen::input_port_name(fid, point)
+                    };
+                    let column = file.input_column(&port).ok_or_else(|| {
+                        CosimError::Incompatible(format!("missing input port `{port}`"))
+                    })?;
+                    taps.insert((*field, *dx, *dy), column);
+                }
+                Instr::Const(_) => {}
+            }
+            code.push(ssa);
+            def[cc.dst()[i] as usize] = i as u32;
+        }
+        let mut captured = vec![false; len];
+        cc.capture()
+            .iter()
+            .for_each(|&c| captured[c as usize] = true);
+
+        let mut shape = Shape {
+            file,
+            cc,
+            code,
+            users,
+            captured,
+            taps,
+            traces: Vec::with_capacity(file.records.len() * len),
+            analysis: None,
+        };
+        // The clean replay must reproduce the recorded responses exactly —
+        // anything else means the file and the program drifted apart.
+        for (r, record) in file.records.iter().enumerate() {
+            let (outs, trace) = eval_cone_raw_traced(&shape.cc, fmt, shape.read(r), None);
+            if outs != record.response {
+                return Err(CosimError::Sim(format!(
+                    "clean replay of `{}` record {r} disagrees with its recorded response",
+                    file.entity
+                )));
+            }
+            shape.traces.extend(trace);
+        }
+        // Static facts over the full in-format input range: every stimulus
+        // word in a vector file was produced by `quantize` or by the
+        // datapath itself, so `[min_raw, max_raw]` is a sound input
+        // assumption and the per-instruction known bits hold for *every*
+        // record this campaign sweeps.
+        shape.analysis =
+            isl_analyze::Analysis::of_cone(&shape.cc, fmt, isl_analyze::WordRange::full(fmt)).ok();
+        Ok(shape)
+    }
+
+    fn len(&self) -> usize {
+        self.code.len()
+    }
+
+    /// The input reads of record `r`.
+    fn read(&self, r: usize) -> impl Fn(u16, i32, i32) -> i64 + '_ {
+        let stimulus = &self.file.records[r].stimulus;
+        move |f, dx, dy| stimulus[self.taps[&(f, dx, dy)]]
+    }
+
+    /// The clean trace of record `r`.
+    fn trace(&self, r: usize) -> &[i64] {
+        &self.traces[r * self.len()..(r + 1) * self.len()]
+    }
+
+    /// Does `fault` change its instruction's word on record `r`?
+    fn active(&self, r: usize, fault: Fault) -> bool {
+        let clean = self.traces[r * self.len() + fault.instr];
+        fault.model.apply(clean) != clean
+    }
+
+    /// Propagate `fault` through record `r`'s fan-out, leaving the changed
+    /// words in `s`; returns whether an output word changed.
+    fn propagate(&self, fmt: FixedFormat, r: usize, fault: Fault, s: &mut Scratch) -> bool {
+        let clean = self.trace(r);
+        for &i in &s.order {
+            s.word[i as usize] = None;
+        }
+        s.order.clear();
+        s.change(self, fault.instr, fault.model.apply(clean[fault.instr]));
+        let mut cursor = fault.instr / 64;
+        while let Some(j) = s.next_pending(&mut cursor) {
+            let word = |k: u32| s.word[k as usize].unwrap_or(clean[k as usize]);
+            let v = exec(fmt, &self.code[j], word, &|_, _, _| {
+                unreachable!("inputs have no operands, so they are never pending")
+            });
+            if v != clean[j] {
+                s.change(self, j, v);
+            }
+        }
+        s.order.iter().any(|&i| self.captured[i as usize])
+    }
+}
+
+/// Opcode mnemonic of an instruction (`const`, `input`, `add`, `sqrt`,
+/// `select`, ...).
+fn mnemonic(instr: &Instr) -> String {
+    match instr {
+        Instr::Const(_) => "const".to_string(),
+        Instr::Input { .. } => "input".to_string(),
+        Instr::Unary { op, .. } => format!("{op:?}").to_ascii_lowercase(),
+        Instr::Binary { op, .. } => format!("{op:?}").to_ascii_lowercase(),
+        Instr::Select { .. } => "select".to_string(),
+    }
+}
+
+/// Propagation buffers, sized once per sweep and reused by every record of
+/// every fault.
+struct Scratch {
+    /// Faulty word of each changed instruction.
+    word: Vec<Option<i64>>,
+    /// The changed instructions, ascending (users have larger indices than
+    /// their operands, and pending instructions are taken lowest first).
+    order: Vec<u32>,
+    /// Bit set of the instructions waiting for re-evaluation.
+    pending: Vec<u64>,
+}
+
+impl Scratch {
+    /// Record instruction `i`'s faulty word and schedule its users.
+    fn change(&mut self, shape: &Shape<'_>, i: usize, v: i64) {
+        self.word[i] = Some(v);
+        self.order.push(i as u32);
+        for &u in &shape.users[i] {
+            self.pending[u as usize / 64] |= 1 << (u % 64);
+        }
+    }
+
+    /// Take the lowest pending instruction at or past bit-set word
+    /// `cursor`.
+    fn next_pending(&mut self, cursor: &mut usize) -> Option<usize> {
+        while let Some(&bits) = self.pending.get(*cursor) {
+            if bits != 0 {
+                self.pending[*cursor] = bits & (bits - 1);
+                return Some(*cursor * 64 + bits.trailing_zeros() as usize);
+            }
+            *cursor += 1;
+        }
+        None
+    }
 }
 
 /// Is `fault` provably silent on every in-format stimulus, by the static
@@ -306,20 +506,46 @@ fn predicted_silent(analysis: Option<&isl_analyze::Analysis>, fault: &Fault) -> 
 impl CoSimulator<'_> {
     /// Run a full fault-injection campaign over the cone-architecture
     /// decomposition `(window, depth)` on `init`: record the clean run's
-    /// golden vectors, then inject every model of `schedule` at **every
-    /// instruction** of every distinct cone shape, replay the recorded
-    /// stimuli under each fault and classify it (see the [module
-    /// docs](crate::campaign)). Every detection is confirmed at
-    /// instruction granularity through [`CoSimulator::triage_vectors`].
+    /// [golden vectors](CoSimulator::golden_vectors), then
+    /// [sweep](CoSimulator::fault_sweep) them.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`CoSimulator::golden_vectors`] and
+    /// [`CoSimulator::fault_sweep`].
+    pub fn fault_campaign(
+        &self,
+        init: &FrameSet,
+        iterations: u32,
+        window: Window,
+        depth: u32,
+        schedule: &MaskSchedule,
+    ) -> Result<FaultCoverageReport, CosimError> {
+        let files = self.golden_vectors(init, iterations, window, depth)?;
+        self.fault_sweep(&files, iterations, window, depth, schedule)
+    }
+
+    /// Inject every model of `schedule` at **every instruction** of the
+    /// cone shape of each golden-vector file of one `iterations`-long run
+    /// of the decomposition `(window, depth)`, and classify each fault (see
+    /// the [module docs](crate::campaign)). Each file is verified once
+    /// against the independent oracle and replayed once, clean, on the
+    /// scalar VM; each fault then propagates through the clean traces of
+    /// the records it changes, along its instruction's fan-out only. Each
+    /// detection is triaged in place: the first diverging instruction of
+    /// the detecting record's faulty trace must be the injected one.
     ///
     /// # Errors
     ///
     /// [`CosimError::Sim`] when this co-simulator already carries a fault
-    /// hypothesis (the campaign owns fault injection) or on a frame-set
-    /// mismatch; [`CosimError::Cone`] on cone-construction failures.
-    pub fn fault_campaign(
+    /// hypothesis (the sweep owns fault injection), when a file fails
+    /// [`verify_vectors`] or when the clean replay of a record disagrees
+    /// with its response; [`CosimError::Incompatible`] when a file does not
+    /// describe a cone of this pattern; [`CosimError::Cone`] on
+    /// cone-construction failures.
+    pub fn fault_sweep(
         &self,
-        init: &FrameSet,
+        files: &[VectorFile],
         iterations: u32,
         window: Window,
         depth: u32,
@@ -335,42 +561,11 @@ impl CoSimulator<'_> {
         if models.is_empty() {
             return Err(CosimError::Sim("mask schedule has no models".into()));
         }
-        let files = self.golden_vectors(init, iterations, window, depth)?;
         let fmt = self.format();
-
-        // Clean replay per shape: compiled program + per-record traces. The
-        // replayed outputs must reproduce the recorded responses exactly —
-        // anything else means the file and the program drifted apart.
-        let mut shapes = Vec::with_capacity(files.len());
-        for file in &files {
-            let cone = Cone::build(self.pattern(), file.window, file.depth)?;
-            let cc = CompiledCone::compile_with(&cone, &self.params, false);
-            let mut traces = Vec::with_capacity(file.records.len());
-            for (ri, record) in file.records.iter().enumerate() {
-                let read = replay_read(self.pattern(), file, ri);
-                let (outs, trace) = eval_cone_raw_traced(&cc, fmt, &read, None);
-                if outs != record.response {
-                    return Err(CosimError::Sim(format!(
-                        "clean replay of `{}` record {ri} disagrees with its recorded response",
-                        file.entity
-                    )));
-                }
-                traces.push(trace);
-            }
-            // Static facts over the full in-format input range: every
-            // stimulus word in a vector file was produced by `quantize`
-            // or by the datapath itself, so `[min_raw, max_raw]` is a
-            // sound input assumption and the per-instruction known bits
-            // hold for *every* record this campaign replays.
-            let analysis =
-                isl_analyze::Analysis::of_cone(&cc, fmt, isl_analyze::WordRange::full(fmt)).ok();
-            shapes.push(ShapeRun {
-                file,
-                cc,
-                traces,
-                analysis,
-            });
-        }
+        let shapes = files
+            .iter()
+            .map(|file| Shape::new(self, file))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let mut report = FaultCoverageReport {
             entity: files
@@ -382,7 +577,7 @@ impl CoSimulator<'_> {
             depth,
             iterations,
             format: fmt,
-            instructions: shapes.iter().map(|s| s.cc.len()).sum(),
+            instructions: shapes.iter().map(Shape::len).sum(),
             faults: 0,
             detected: 0,
             masked: 0,
@@ -408,11 +603,16 @@ impl CoSimulator<'_> {
             sample: Vec::new(),
         };
         let mut latency_sum = 0usize;
+        let len = shapes.iter().map(Shape::len).max().unwrap_or(0);
+        let mut scratch = Scratch {
+            word: vec![None; len],
+            order: Vec::with_capacity(len),
+            pending: vec![0; len.div_ceil(64)],
+        };
 
         for shape in &shapes {
-            for instr in 0..shape.cc.len() {
-                let (opcode, _, _) =
-                    crate::cosim::InstrDivergence::describe(&shape.cc.code()[instr]);
+            let records = shape.file.records.len();
+            for instr in 0..shape.len() {
                 for model in &models {
                     let fault = Fault {
                         instr,
@@ -434,10 +634,7 @@ impl CoSimulator<'_> {
                     // proof, the measurement its cross-validation.)
                     if predicted_silent(shape.analysis.as_ref(), &fault) {
                         debug_assert!(
-                            shape
-                                .traces
-                                .iter()
-                                .all(|t| model.apply(t[instr]) == t[instr]),
+                            (0..records).all(|r| !shape.active(r, fault)),
                             "statically predicted-silent fault was active: {} at instr {instr}",
                             model.name()
                         );
@@ -448,36 +645,27 @@ impl CoSimulator<'_> {
                         continue;
                     }
 
-                    // Silent check from the clean traces alone: the first
-                    // record where the model would actually change the
-                    // faulted instruction's result word.
-                    let first_active = shape
-                        .traces
-                        .iter()
-                        .position(|t| model.apply(t[instr]) != t[instr]);
-                    let Some(first_active) = first_active else {
+                    let mut active = (0..records).filter(|&r| shape.active(r, fault)).peekable();
+                    if active.peek().is_none() {
                         report.silent += 1;
                         mc.silent += 1;
                         continue;
-                    };
-
-                    // Replay firings from the first active record; the
-                    // first output divergence is the detection.
-                    let mut detection: Option<(usize, Vec<i64>)> = None;
-                    for ri in first_active..shape.file.records.len() {
-                        let read = replay_read(self.pattern(), shape.file, ri);
-                        let (outs, _) =
-                            eval_cone_raw_traced(&shape.cc, fmt, &read, Some(fault));
-                        if outs != shape.file.records[ri].response {
-                            detection = Some((ri, outs));
-                            break;
-                        }
                     }
-                    let Some((latency, faulty_outs)) = detection else {
+                    let Some(latency) =
+                        active.find(|&r| shape.propagate(fmt, r, fault, &mut scratch))
+                    else {
                         report.masked += 1;
                         mc.masked += 1;
                         continue;
                     };
+                    debug_assert_eq!(
+                        (shape.trace(latency).iter().zip(&scratch.word))
+                            .map(|(&clean, faulty)| faulty.unwrap_or(clean))
+                            .collect::<Vec<_>>(),
+                        eval_cone_raw_traced(&shape.cc, fmt, shape.read(latency), Some(fault)).1,
+                        "propagated trace of {} at instr {instr}, record {latency}",
+                        model.name()
+                    );
                     report.detected += 1;
                     mc.detected += 1;
                     latency_sum += latency;
@@ -487,31 +675,11 @@ impl CoSimulator<'_> {
                         Some(l) => l.detected += 1,
                         None => report.by_level.push(LevelDetections { level, detected: 1 }),
                     }
-
-                    // Triage confirmation: rebuild the faulty vector file up
-                    // to the detection and let the triage machinery pin the
-                    // divergence back to the injected instruction.
-                    let mut faulty_file = VectorFile {
-                        entity: shape.file.entity.clone(),
-                        format: shape.file.format,
-                        window: shape.file.window,
-                        depth: shape.file.depth,
-                        ports_in: shape.file.ports_in.clone(),
-                        ports_out: shape.file.ports_out.clone(),
-                        records: shape.file.records[..=latency].to_vec(),
-                    };
-                    faulty_file.records[latency].response = faulty_outs;
-                    let triaged = match self
-                        .clone()
-                        .with_fault(fault)
-                        .triage_vectors(&faulty_file)?
-                    {
-                        TriageOutcome::Diverged(r) => {
-                            r.record == latency
-                                && r.divergence.as_ref().is_some_and(|d| d.instr == instr)
-                        }
-                        TriageOutcome::NoDivergence => false,
-                    };
+                    // The clean file agrees with the oracle, so the oracle
+                    // disagrees with this record's faulty response; the
+                    // triage question left is where the trace first
+                    // diverges.
+                    let triaged = scratch.order.first() == Some(&(instr as u32));
                     if triaged {
                         report.triaged += 1;
                     }
@@ -519,7 +687,7 @@ impl CoSimulator<'_> {
                         report.sample.push(DetectedFault {
                             fault,
                             shape_depth: shape.file.depth,
-                            opcode: opcode.clone(),
+                            opcode: mnemonic(&shape.code[instr]),
                             latency,
                             level,
                             triaged,

@@ -1,12 +1,11 @@
-//! The co-simulator: integer-domain execution of whole architecture runs,
-//! golden-vector generation and mismatch triage.
+//! The co-simulator: integer-domain execution of whole architecture runs
+//! and golden-vector generation.
 
 use isl_fpga::FixedFormat;
 use isl_ir::{Cone, StencilPattern, Window};
 use isl_sim::{BorderMode, CompiledCone, Frame, FrameSet};
-use isl_vhdl::codegen;
 use isl_vhdl::vectors::VectorFile;
-use isl_vhdl::{VectorCheckError, VectorLayout};
+use isl_vhdl::VectorLayout;
 
 use crate::error::CosimError;
 use crate::vm::{eval_cone_raw_traced, Fault};
@@ -144,137 +143,15 @@ pub fn error_metrics(reference: &FrameSet, fixed: &FrameSet) -> ErrorMetrics {
     ErrorMetrics { max_abs, rms, samples }
 }
 
-/// The first diverging instruction of a triaged firing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstrDivergence {
-    /// Instruction index in the compiled cone program.
-    pub instr: usize,
-    /// Short opcode mnemonic (`const`, `input`, `add`, `sqrt`, `select`,
-    /// ...) — the instruction *kind*, stable across renderings.
-    pub opcode: String,
-    /// Human-readable rendering of the instruction.
-    pub op: String,
-    /// For `input` instructions, the source field and stencil offset the
-    /// instruction reads (e.g. `field 1 @ (0, -1)`); `None` for
-    /// non-input instructions.
-    pub source: Option<String>,
-    /// Result word of the clean reference VM.
-    pub expected: i64,
-    /// Result word under the fault hypothesis.
-    pub got: i64,
-}
-
-impl InstrDivergence {
-    /// Describe a compiled-cone instruction: `(opcode, render, source)`.
-    pub(crate) fn describe(instr: &isl_sim::Instr) -> (String, String, Option<String>) {
-        use isl_sim::Instr as I;
-        let opcode = match instr {
-            I::Const(_) => "const".to_string(),
-            I::Input { .. } => "input".to_string(),
-            I::Unary { op, .. } => format!("{op:?}").to_ascii_lowercase(),
-            I::Binary { op, .. } => format!("{op:?}").to_ascii_lowercase(),
-            I::Select { .. } => "select".to_string(),
-        };
-        let source = match instr {
-            I::Input { field, dx, dy } => Some(format!("field {field} @ ({dx}, {dy})")),
-            _ => None,
-        };
-        (opcode, format!("{instr:?}"), source)
-    }
-}
-
-/// Outcome of [`CoSimulator::triage_vectors`]: either every response word of
-/// the file checked out, or the first divergence with its full triage.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TriageOutcome {
-    /// Every record of the vector file matched the independent
-    /// re-derivation bit for bit.
-    NoDivergence,
-    /// The file diverges; the report localises the first diverging firing
-    /// (and, under a reproducing fault hypothesis, the instruction).
-    Diverged(TriageReport),
-}
-
-impl TriageOutcome {
-    /// `true` when every word checked out.
-    pub fn is_clean(&self) -> bool {
-        matches!(self, TriageOutcome::NoDivergence)
-    }
-
-    /// The triage report, when the file diverged.
-    pub fn report(&self) -> Option<&TriageReport> {
-        match self {
-            TriageOutcome::NoDivergence => None,
-            TriageOutcome::Diverged(r) => Some(r),
-        }
-    }
-
-    /// Consume the outcome into its report, when the file diverged.
-    pub fn into_report(self) -> Option<TriageReport> {
-        match self {
-            TriageOutcome::NoDivergence => None,
-            TriageOutcome::Diverged(r) => Some(r),
-        }
-    }
-}
-
-/// A triaged golden-vector mismatch: the first diverging firing (record,
-/// level, tile and port) and — when the co-simulator carries a fault
-/// hypothesis that reproduces the file — the first diverging instruction
-/// inside that firing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TriageReport {
-    /// Entity the vectors drive.
-    pub entity: String,
-    /// Record index in file order.
-    pub record: usize,
-    /// Decomposition level of the diverging firing.
-    pub level: u32,
-    /// Tile origin of the diverging firing, frame coordinates.
-    pub tile: (i64, i64),
-    /// First diverging output port.
-    pub port: String,
-    /// Raw word the independent checker derived.
-    pub expected: i64,
-    /// Raw word the file recorded.
-    pub got: i64,
-    /// First diverging instruction (present when the fault hypothesis
-    /// reproduces a divergence on this firing's stimulus).
-    pub divergence: Option<InstrDivergence>,
-}
-
-impl std::fmt::Display for TriageReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "first divergence: `{}` record {} (level {}, tile ({}, {})) port `{}`: expected {}, got {}",
-            self.entity, self.record, self.level, self.tile.0, self.tile.1, self.port,
-            self.expected, self.got
-        )?;
-        if let Some(d) = &self.divergence {
-            write!(
-                f,
-                "; instruction {} `{}` [{}]: {} -> {}",
-                d.instr, d.opcode, d.op, d.expected, d.got
-            )?;
-            if let Some(src) = &d.source {
-                write!(f, " (reads {src})")?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Bit-true co-simulator of one stencil pattern on one hardware format.
 ///
 /// Runs cone-architecture decompositions ([`CoSimulator::run_cone_levels`])
-/// entirely on raw `i64` words through the scalar integer VM, records
+/// entirely on raw `i64` words through the scalar integer VM and records
 /// per-firing golden-vector files ([`CoSimulator::golden_vectors`]) — the
 /// independent twin of the quantised cone-DAG engine's recording that
-/// `certify` uses — and triages vector mismatches down to the instruction
-/// ([`CoSimulator::triage_vectors`]). Fault campaigns
-/// ([`CoSimulator::fault_campaign`]) replay recorded stimuli through the
-/// same VM.
+/// `certify` uses. Fault campaigns ([`CoSimulator::fault_campaign`],
+/// [`CoSimulator::fault_sweep`]) replay each record once on the same VM
+/// and propagate every fault through those clean traces.
 #[derive(Debug, Clone)]
 pub struct CoSimulator<'p> {
     pattern: &'p StencilPattern,
@@ -338,7 +215,7 @@ impl<'p> CoSimulator<'p> {
     }
 
     /// Inject a deliberate datapath fault (see [`Fault`]) into every cone
-    /// firing — the self-test hook that lets the triage machinery prove it
+    /// firing — the self-test hook that proves the golden-vector check
     /// catches real divergence.
     pub fn with_fault(mut self, fault: Fault) -> Self {
         self.fault = Some(fault);
@@ -485,81 +362,5 @@ impl<'p> CoSimulator<'p> {
         }
         let files = shapes.into_iter().map(|(_, s)| s.layout.into_file()).collect();
         Ok((state, files))
-    }
-
-    /// Locate the first diverging firing of `file` against the clean
-    /// integer reference — and, when this co-simulator carries a [`Fault`]
-    /// hypothesis that reproduces the divergence, the first diverging
-    /// instruction inside that firing. Returns
-    /// [`TriageOutcome::NoDivergence`] when every word checks out.
-    ///
-    /// # Errors
-    ///
-    /// [`CosimError::Incompatible`] when the file does not describe a cone
-    /// of this pattern; [`CosimError::Cone`] on construction failure.
-    pub fn triage_vectors(&self, file: &VectorFile) -> Result<TriageOutcome, CosimError> {
-        let cone = Cone::build(self.pattern, file.window, file.depth)?;
-        let mismatch = match isl_vhdl::check::verify_vectors(&cone, self.fmt, file) {
-            Ok(_) => return Ok(TriageOutcome::NoDivergence),
-            Err(VectorCheckError::Incompatible(m)) => return Err(CosimError::Incompatible(m)),
-            Err(VectorCheckError::Mismatch(m)) => m,
-        };
-        // Replay the diverging firing's stimulus through the clean VM and
-        // through the fault hypothesis; the first trace divergence is the
-        // offending instruction.
-        let cc = CompiledCone::compile_with(&cone, &self.params, false);
-        let read = replay_read(self.pattern, file, mismatch.record);
-        let divergence = self.fault.and_then(|fault| {
-            let (_, clean) = eval_cone_raw_traced(&cc, self.fmt, &read, None);
-            let (_, faulty) = eval_cone_raw_traced(&cc, self.fmt, &read, Some(fault));
-            clean
-                .iter()
-                .zip(&faulty)
-                .position(|(a, b)| a != b)
-                .map(|i| {
-                    let (opcode, op, source) = InstrDivergence::describe(&cc.code()[i]);
-                    InstrDivergence {
-                        instr: i,
-                        opcode,
-                        op,
-                        source,
-                        expected: clean[i],
-                        got: faulty[i],
-                    }
-                })
-        });
-        Ok(TriageOutcome::Diverged(TriageReport {
-            entity: file.entity.clone(),
-            record: mismatch.record,
-            level: mismatch.level,
-            tile: mismatch.tile,
-            port: mismatch.port,
-            expected: mismatch.expected,
-            got: mismatch.got,
-            divergence,
-        }))
-    }
-}
-
-/// A read closure that replays record `ri` of a vector file: every
-/// field/offset read resolves to the recorded stimulus word of the matching
-/// input port (absent ports read as zero — the cone never reads them).
-pub(crate) fn replay_read<'f>(
-    pattern: &'f StencilPattern,
-    file: &'f VectorFile,
-    ri: usize,
-) -> impl Fn(u16, i32, i32) -> i64 + 'f {
-    let record = &file.records[ri];
-    move |f: u16, dx: i32, dy: i32| -> i64 {
-        let fid = isl_ir::FieldId::new(f);
-        let point = isl_ir::Point::d2(dx, dy);
-        let name = if pattern.field(fid).kind == isl_ir::FieldKind::Static {
-            codegen::static_port_name(fid, point)
-        } else {
-            codegen::input_port_name(fid, point)
-        };
-        file.input_column(&name)
-            .map(|c| record.stimulus[c])
-            .unwrap_or(0)
     }
 }

@@ -26,17 +26,15 @@
 //!   drift of a dequantised fixed-point run from its `f64` reference; the
 //!   flow-level *format search* evaluates one [`ErrorMetrics`] per probed
 //!   format against its error budget;
-//! * **mismatch triage** — [`CoSimulator::triage_vectors`] pinpoints the
-//!   first diverging window, level and (under a [`Fault`] hypothesis) the
-//!   exact instruction — opcode and source field included — so a rounding
-//!   bug anywhere in the datapath has a street address instead of a
-//!   frame-sized diff;
 //! * **fault-injection campaigns** — [`Fault`] carries a [`FaultModel`]
 //!   (transient bit-flip, stuck-at-0, stuck-at-1 on any instruction's
 //!   result word), and [`CoSimulator::fault_campaign`] sweeps every
-//!   instruction × a [`MaskSchedule`] over whole cone programs, replaying
-//!   the recorded golden stimuli under each fault and classifying it as
-//!   detected / masked / silent into a [`FaultCoverageReport`] — the
+//!   instruction × a [`MaskSchedule`] over whole cone programs
+//!   ([`CoSimulator::fault_sweep`] does so over given vector files): it
+//!   verifies each golden-vector file once, keeps the clean trace of each
+//!   record, propagates each fault through its instruction's fan-out on
+//!   the records it changes, and classifies it as detected (triaged to its
+//!   instruction) / masked / silent into a [`FaultCoverageReport`] — the
 //!   quantified answer to "would certification notice a broken bit?".
 //!
 //! ## Who runs the scalar VM
@@ -45,10 +43,10 @@
 //! and error metrics from the quantised cone-DAG lane engine of `isl-sim`
 //! (`Simulator::record_cone_dag_quantized`), which executes the same
 //! datapath on structure-of-arrays lanes. The scalar VM serves the jobs
-//! that need one firing at a time: fault campaigns (a fault hook per
-//! instruction), mismatch triage (a per-instruction trace), and the
-//! independent leg of the differential fuzzer, which compares its vectors
-//! with the engine's raw words at every width up to 64.
+//! that need one firing at a time: fault campaigns, which run it once per
+//! record for the clean per-instruction traces and never once per fault,
+//! and the independent leg of the differential fuzzer, which compares its
+//! vectors with the engine's raw words at every width up to 64.
 //!
 //! ## The integer datapath contract
 //!
@@ -108,9 +106,6 @@ pub use campaign::{
     DetectedFault, FaultCoverageReport, LevelDetections, MaskSchedule, ModelCoverage,
 };
 pub use convert::{format_of, quantizer_of};
-pub use cosim::{
-    error_metrics, CoSimulator, ErrorMetrics, InstrDivergence, IntFrameSet, TriageOutcome,
-    TriageReport,
-};
+pub use cosim::{error_metrics, CoSimulator, ErrorMetrics, IntFrameSet};
 pub use error::CosimError;
 pub use vm::{eval_cone_raw, eval_cone_raw_traced, Fault, FaultModel};

@@ -13,11 +13,10 @@
 //!
 //! The VM supports deliberate **fault injection** ([`Fault`]): corrupting a
 //! chosen instruction's result word under one of the classic gate-level
-//! [`FaultModel`]s (transient bit-flip, stuck-at-0, stuck-at-1). That is the
-//! hook the mismatch-triage machinery uses to prove that a single-LSB
-//! rounding fault anywhere in a cone is caught and pinpointed, and the
-//! primitive the fault-campaign driver ([`crate::campaign`]) sweeps over
-//! whole cone programs.
+//! [`FaultModel`]s (transient bit-flip, stuck-at-0, stuck-at-1) — the unit
+//! of work the fault-campaign driver ([`crate::campaign`]) sweeps over
+//! whole cone programs, and the whole-program reference its propagation
+//! is checked against in debug builds.
 
 use isl_fpga::FixedFormat;
 use isl_sim::{CompiledCone, Instr};
@@ -81,8 +80,8 @@ impl std::fmt::Display for FaultModel {
 
 /// A deliberate single-instruction fault: after instruction `instr`
 /// executes, its result word is corrupted under `model`. Used to validate
-/// that the golden-vector check catches (and triage pinpoints) datapath
-/// divergence, and as the unit of work of a fault campaign.
+/// that the golden-vector check catches datapath divergence, and as the
+/// unit of work of a fault campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fault {
     /// Index of the instruction to corrupt.
@@ -118,9 +117,9 @@ impl Fault {
     }
 }
 
-/// Execute one instruction on raw words. `value_of` resolves operand slots.
+/// Execute one instruction on raw words. `value_of` resolves operands.
 #[inline]
-fn exec<F: Fn(u32) -> i64, R: Fn(u16, i32, i32) -> i64>(
+pub(crate) fn exec<F: Fn(u32) -> i64, R: Fn(u16, i32, i32) -> i64>(
     fmt: FixedFormat,
     instr: &Instr,
     value_of: F,
@@ -154,7 +153,7 @@ where
 /// [`eval_cone_raw`] with an optional [`Fault`] and a full per-instruction
 /// trace: element `i` of the trace is the (post-fault) result word of
 /// instruction `i`. Comparing a clean and a faulty trace yields the first
-/// diverging instruction — the triage primitive.
+/// diverging instruction.
 pub fn eval_cone_raw_traced<R>(
     cc: &CompiledCone,
     fmt: FixedFormat,

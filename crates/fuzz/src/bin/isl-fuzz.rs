@@ -6,7 +6,7 @@
 //! isl-fuzz replay   <entry.c> [...]
 //! isl-fuzz analyze  [--corpus-dir DIR]
 //! isl-fuzz mutate   --iters 2000 --seed 1
-//! isl-fuzz campaign [--fast]
+//! isl-fuzz campaign
 //! isl-fuzz persist  --iters 500 --seed 1 [--corpus-dir DIR]
 //!                   [--shrink-budget 2000] [--write-fixtures DIR]
 //!                   [--replay-dir DIR]
@@ -255,11 +255,10 @@ fn cmd_mutate(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_campaign(args: &[String]) -> Result<ExitCode, FlowError> {
-    let fast = args.iter().any(|a| a == "--fast");
+fn cmd_campaign() -> Result<ExitCode, FlowError> {
     let device = Device::virtex6_xc6vlx760();
     let space = DesignSpace::new(2..=5, 1..=3, 4);
-    let (w, h) = if fast { (16, 12) } else { (24, 18) };
+    let (w, h) = (24, 18);
 
     for algo in [isl_algorithms::gaussian_igf(), isl_algorithms::chambolle()] {
         let flow = IslFlow::from_algorithm(&algo)?;
@@ -270,11 +269,7 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, FlowError> {
         let init = isl_fuzz::frames_for(flow.pattern(), w as usize, h as usize, 0x5EED);
         let certified = explored.certify_fastest(&init)?;
         let fmt = certified.certificate().format;
-        let schedule = if fast {
-            isl_hls::cosim::MaskSchedule::lsb()
-        } else {
-            isl_hls::cosim::MaskSchedule::standard(fmt)
-        };
+        let schedule = isl_hls::cosim::MaskSchedule::standard(fmt);
         println!(
             "== {} — DSE-chosen architecture w{} d{}, format {fmt} ==",
             algo.name, best.arch.window, best.arch.depth
@@ -377,7 +372,7 @@ fn main() -> ExitCode {
         "replay" => cmd_replay(rest),
         "analyze" => cmd_analyze(rest),
         "mutate" => cmd_mutate(rest),
-        "campaign" => cmd_campaign(rest).map_err(|e| e.to_string()),
+        "campaign" => cmd_campaign().map_err(|e| e.to_string()),
         "persist" => cmd_persist(rest),
         other => Err(format!("unknown command `{other}`\n{usage}")),
     };

@@ -28,8 +28,8 @@
 //! `isl-fuzz campaign` binary and surfaced in the staged API as
 //! `Certified::fault_campaign`) sweeps every instruction of an
 //! architecture's cone programs against transient bit-flips and stuck-at
-//! faults, classifying each as detected / masked / silent and confirming
-//! every detection at instruction granularity through vector triage. The
+//! faults, classifying each as detected / masked / silent and triaging
+//! every detection to its instruction on the detecting firing's trace. The
 //! quantified output — detection rate, per-level breakdown, detection
 //! latency in windows — is the reliability evidence the DAC'13 flow's
 //! certification stage was missing.

@@ -21,8 +21,8 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -441,6 +441,23 @@ fn handle_request(state: &Arc<ServiceState>, jobs: &mpsc::Sender<Job>, line: &st
     }
 }
 
+/// Read and discard what a refused client is still sending: a socket
+/// closed with unread input resets the connection, which can cost the
+/// client the `err` line. Stops when the client closes or pauses for a
+/// read timeout, and after 16 MiB or 2 s at most, so that a slow-drip
+/// client cannot hold the thread.
+fn drain(reader: &mut impl Read) {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut left = 16u64 << 20;
+    let mut buf = [0u8; 16 * 1024];
+    while left > 0 && Instant::now() < deadline {
+        match reader.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => left = left.saturating_sub(n as u64),
+        }
+    }
+}
+
 fn handle_client(state: Arc<ServiceState>, jobs: mpsc::Sender<Job>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
@@ -459,6 +476,8 @@ fn handle_client(state: Arc<ServiceState>, jobs: mpsc::Sender<Job>, stream: TcpS
                 let refusal =
                     err_line(0, &format!("request line longer than {MAX_REQUEST_LINE} bytes"));
                 let _ = writer.write_all(format!("{refusal}\n").as_bytes());
+                let _ = writer.shutdown(Shutdown::Write);
+                drain(&mut reader);
                 break;
             }
             Ok(0) => break,

@@ -1,6 +1,6 @@
 //! Property tests for the bit-true co-simulation subsystem.
 //!
-//! Three layers of hardware/software equivalence, all bit-for-bit:
+//! Five layers of hardware/software equivalence, all bit-for-bit:
 //!
 //! 1. the **quantised compiled engines** (`run_tiled_quantized`,
 //!    `run_cone_dag_quantized`) against their tree-walking references, on
@@ -10,12 +10,15 @@
 //!    fixed-point graph interpreter (`isl_fpga::eval_fixed`);
 //! 3. the **golden-vector exchange**: generated vectors certify cleanly,
 //!    survive a text round-trip, drive a structurally valid testbench —
-//!    and a deliberately injected rounding fault is caught and triaged to
-//!    the exact window, level and instruction;
+//!    and a deliberately injected rounding fault is caught at the exact
+//!    window, level and port, and a fault campaign triages it to its
+//!    instruction;
 //! 4. the **two vector recorders**: the quantised cone-DAG engine's
 //!    recording (what `certify` stores) equals the scalar co-simulator's
 //!    golden vectors word for word at every width of the fuzzer's ladder,
-//!    and `certify` returns the certificate the co-simulator path assembles.
+//!    and `certify` returns the certificate the co-simulator path assembles;
+//! 5. the **fault campaign**: propagating each fault over the clean traces
+//!    classifies every fault exactly as replaying the whole program does.
 
 use isl_tests::arb::{
     arb_border, arb_local_border, arb_pattern, arb_pattern_of_rank, arb_window,
@@ -24,7 +27,10 @@ use isl_tests::arb::{
 use isl_tests::prop::{check, Rng};
 
 use isl_fuzz::{engine_vectors, WIDTH_LADDER};
-use isl_hls::cosim::{error_metrics, eval_cone_raw, quantizer_of, CoSimulator, Fault};
+use isl_hls::cosim::{
+    error_metrics, eval_cone_raw, eval_cone_raw_traced, quantizer_of, CoSimulator, Fault,
+    FaultCoverageReport, MaskSchedule,
+};
 use isl_hls::fpga::{eval_fixed, FixedFormat};
 use isl_hls::ir::Cone;
 use isl_hls::prelude::*;
@@ -251,8 +257,9 @@ fn integer_run_tracks_quantized_run() {
 }
 
 /// A deliberately injected single-LSB rounding fault anywhere in the cone
-/// datapath is caught by the golden-vector check and triaged to the exact
-/// window, level and instruction.
+/// datapath is caught by the golden-vector check at the exact window,
+/// level and port, and a fault campaign over the same shape reports it
+/// detected and triaged to its instruction.
 #[test]
 fn injected_fault_is_caught_and_triaged() {
     let algo = isl_hls::algorithms::gaussian_igf();
@@ -277,7 +284,6 @@ fn injected_fault_is_caught_and_triaged() {
     for file in &good {
         let c = Cone::build(&pattern, file.window, file.depth).expect("cone");
         verify_vectors(&c, fmt, file).expect("clean vectors certify");
-        assert!(clean.triage_vectors(file).expect("triage runs").is_clean());
     }
     // The faulty main-shape file must fail certification...
     let bad_main = bad.iter().find(|f| f.depth == 2).expect("main shape");
@@ -286,26 +292,41 @@ fn injected_fault_is_caught_and_triaged() {
     let VectorCheckError::Mismatch(m) = err else {
         panic!("expected a mismatch, got {err}");
     };
-    // ...at the very first firing (the fault hits every window).
+    // ...at the very first firing (the fault hits every window), on the
+    // port of the output the faulted instruction defines, one LSB off.
     assert_eq!((m.record, m.level), (0, 0));
-    // ...and triage pinpoints the injected instruction.
-    let report = faulty
-        .triage_vectors(bad_main)
-        .expect("triage runs")
-        .into_report()
-        .expect("divergence found");
-    assert_eq!(report.record, 0);
-    assert_eq!(report.level, 0);
-    assert_eq!(report.port, m.port);
-    // The report reads like a street address.
-    let text = report.to_string();
-    assert!(text.contains("instruction"), "{text}");
-    let div = report.divergence.expect("fault hypothesis reproduces");
-    assert_eq!(div.instr, fault.instr);
-    assert_eq!(div.expected ^ 1, div.got);
-    // The typed divergence names the instruction kind it localised to.
-    assert!(!div.opcode.is_empty());
-    assert!(!div.op.is_empty());
+    let output = cc
+        .capture()
+        .iter()
+        .position(|&c| c as usize == fault.instr)
+        .expect("the last instruction defines an output");
+    assert_eq!(m.port, bad_main.ports_out[output]);
+    assert_eq!(m.expected ^ 1, m.got);
+
+    // A campaign on the same shape catches and triages the same fault. On
+    // a flat frame the divisions truncate every intermediate LSB flip
+    // away, so only output-defining instructions are detected and the
+    // report's sample holds them all.
+    let flat = FrameSet::from_frames(vec![Frame::new(12, 9)]).expect("one field");
+    let schedule = MaskSchedule::lsb().bit_flip_only();
+    let report = clean
+        .fault_campaign(&flat, 4, Window::square(3), 2, &schedule)
+        .expect("campaign runs");
+    assert!(
+        report.detected < FaultCoverageReport::SAMPLE_CAP,
+        "{report}"
+    );
+    let caught = report
+        .sample
+        .iter()
+        .find(|d| d.fault == fault)
+        .unwrap_or_else(|| panic!("the injected fault escaped: {report}"));
+    assert_eq!(
+        (caught.shape_depth, caught.latency, caught.level),
+        (2, 0, 0)
+    );
+    assert!(caught.triaged, "{caught:?}");
+    assert!(!caught.opcode.is_empty());
 }
 
 /// The flow-level acceptance gate: `verify_architecture` certifies
@@ -466,4 +487,184 @@ fn certify_matches_cosim_assembled_certificate() {
             assert_eq!(got.to_bits(), want.to_bits(), "{}", algo.name);
         }
     }
+}
+
+/// What a full-replay campaign measures: per fault, the whole program runs
+/// under the fault on every record from the first one where the fault
+/// changes its instruction's word, reads resolved by port name, until an
+/// output word differs from the recorded response.
+#[derive(Debug, Default)]
+struct ReplayOutcomes {
+    detected: usize,
+    masked: usize,
+    silent: usize,
+    triaged: usize,
+    /// Model name → (faults, detected, masked, silent).
+    by_model: std::collections::BTreeMap<&'static str, (usize, usize, usize, usize)>,
+    by_level: std::collections::BTreeMap<u32, usize>,
+    latencies: Vec<usize>,
+    /// (fault, shape depth, latency, level) of every detection, in sweep
+    /// order.
+    detections: Vec<(Fault, u32, usize, u32)>,
+}
+
+fn replay_campaign(
+    pattern: &StencilPattern,
+    fmt: FixedFormat,
+    files: &[VectorFile],
+    schedule: &MaskSchedule,
+) -> ReplayOutcomes {
+    use isl_hls::ir::{FieldKind, Point};
+    use isl_hls::vhdl::codegen::{input_port_name, static_port_name};
+
+    let params: Vec<f64> = pattern.params().iter().map(|p| p.default).collect();
+    let mut out = ReplayOutcomes::default();
+    for file in files {
+        let cone = Cone::build(pattern, file.window, file.depth).expect("cone");
+        let cc = CompiledCone::compile_with(&cone, &params, false);
+        let read = |r: usize| {
+            let stimulus = &file.records[r].stimulus;
+            move |f: u16, dx: i32, dy: i32| {
+                let fid = isl_hls::ir::FieldId::new(f);
+                let port = if pattern.field(fid).kind == FieldKind::Static {
+                    static_port_name(fid, Point::d2(dx, dy))
+                } else {
+                    input_port_name(fid, Point::d2(dx, dy))
+                };
+                stimulus[file.input_column(&port).expect("port recorded")]
+            }
+        };
+        let clean: Vec<Vec<i64>> = (0..file.records.len())
+            .map(|r| eval_cone_raw_traced(&cc, fmt, read(r), None).1)
+            .collect();
+        for instr in 0..cc.len() {
+            for model in schedule.models() {
+                let fault = Fault { instr, model };
+                let row = out.by_model.entry(model.name()).or_default();
+                row.0 += 1;
+                let Some(first) = clean.iter().position(|t| model.apply(t[instr]) != t[instr])
+                else {
+                    out.silent += 1;
+                    row.3 += 1;
+                    continue;
+                };
+                let detection = (first..file.records.len()).find_map(|r| {
+                    let (outs, trace) = eval_cone_raw_traced(&cc, fmt, read(r), Some(fault));
+                    (outs != file.records[r].response).then_some((r, trace))
+                });
+                let Some((latency, trace)) = detection else {
+                    out.masked += 1;
+                    row.2 += 1;
+                    continue;
+                };
+                out.detected += 1;
+                row.1 += 1;
+                let diverges = trace.iter().zip(&clean[latency]).position(|(a, b)| a != b);
+                if diverges == Some(instr) {
+                    out.triaged += 1;
+                }
+                let level = file.records[latency].level;
+                *out.by_level.entry(level).or_default() += 1;
+                out.latencies.push(latency);
+                out.detections.push((fault, file.depth, latency, level));
+            }
+        }
+    }
+    out
+}
+
+/// The trace-propagating sweep classifies every fault exactly as full
+/// replay does: random rank-1 and rank-2 patterns, every border mode,
+/// windows that do not tile the frame, depths that leave a remainder
+/// shape, every width of the fuzzer's ladder, and the LSB, standard and a
+/// multi-bit schedule.
+#[test]
+fn fault_campaign_matches_full_replay() {
+    check("fault_campaign_matches_full_replay", 32, |rng| {
+        let rank = rng.usize_in(1, 2);
+        let pattern = arb_pattern_of_rank(rng, rank);
+        let border = arb_border(rng);
+        let window = if rank == 1 {
+            Window::line(rng.u32_in(1, 4))
+        } else {
+            Window::rect(rng.u32_in(1, 3), rng.u32_in(1, 3))
+        };
+        let depth = rng.u32_in(1, 3);
+        let iters = depth * rng.u32_in(0, 1) + rng.u32_in(1, depth + 1);
+        let w = window.w as usize * rng.usize_in(1, 3) + rng.usize_in(0, window.w as usize);
+        let h = if rank == 1 {
+            1
+        } else {
+            window.h as usize * rng.usize_in(1, 3) + rng.usize_in(0, window.h as usize)
+        };
+        let width = WIDTH_LADDER[rng.usize_in(0, WIDTH_LADDER.len() - 1)];
+        let fmt = FixedFormat::new(width, rng.u32_in(width / 2, width - 1));
+        let schedule = match rng.usize_in(0, 2) {
+            0 => MaskSchedule::lsb(),
+            1 => MaskSchedule::standard(fmt),
+            _ => MaskSchedule::with_masks(vec![0b11, (1 << (width - 1)) | 1]).expect("non-zero"),
+        };
+        let init = frames_for(&pattern, w, h, rng.u64());
+        let what = format!(
+            "rank {rank} {w}x{h} border {border} window {window} depth {depth} iters {iters} \
+             {fmt} {schedule:?}"
+        );
+        let cosim = CoSimulator::new(&pattern, fmt)
+            .expect("co-simulator builds")
+            .with_border(border);
+        let report = cosim
+            .fault_campaign(&init, iters, window, depth, &schedule)
+            .expect("campaign runs");
+        let files = cosim
+            .golden_vectors(&init, iters, window, depth)
+            .expect("co-simulator records");
+        let want = replay_campaign(&pattern, fmt, &files, &schedule);
+
+        assert_eq!(
+            (
+                report.detected,
+                report.masked,
+                report.silent,
+                report.triaged
+            ),
+            (want.detected, want.masked, want.silent, want.triaged),
+            "{what}"
+        );
+        let by_model: Vec<_> = report
+            .by_model
+            .iter()
+            .map(|m| (m.model.as_str(), (m.faults, m.detected, m.masked, m.silent)))
+            .collect();
+        let want_by_model: Vec<_> = want.by_model.iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(by_model, want_by_model, "{what}");
+        let by_level: Vec<_> = report
+            .by_level
+            .iter()
+            .map(|l| (l.level, l.detected))
+            .collect();
+        let want_by_level: Vec<_> = want.by_level.into_iter().collect();
+        assert_eq!(by_level, want_by_level, "{what}");
+        let mean = if want.latencies.is_empty() {
+            0.0
+        } else {
+            want.latencies.iter().sum::<usize>() as f64 / want.latencies.len() as f64
+        };
+        assert_eq!(report.mean_latency.to_bits(), mean.to_bits(), "{what}");
+        assert_eq!(
+            report.max_latency,
+            want.latencies.iter().copied().max().unwrap_or(0),
+            "{what}"
+        );
+        let sample: Vec<_> = report
+            .sample
+            .iter()
+            .map(|d| (d.fault, d.shape_depth, d.latency, d.level))
+            .collect();
+        let want_sample: Vec<_> = want
+            .detections
+            .into_iter()
+            .take(FaultCoverageReport::SAMPLE_CAP)
+            .collect();
+        assert_eq!(sample, want_sample, "{what}");
+    });
 }

@@ -98,17 +98,49 @@ fn bounded_mutation_fuzz_finds_no_panics() {
 
 /// The stage-level reliability API: certify an architecture, then sweep
 /// stuck-at and bit-flip faults over its cone programs. Every fault must
-/// be classified, every detection triaged to its instruction.
+/// be classified, every detection triaged to its instruction. On the
+/// certified frames the sweep reads the certificate's stored vectors, on
+/// other frames it records and stores them; either way it reports exactly
+/// what the co-simulator's own campaign reports.
 #[test]
 fn session_fault_campaign_classifies_and_triages() {
     let algo = isl_hls::algorithms::gaussian_igf();
     let session = IslSession::from_algorithm(&algo).expect("session builds");
     let init = isl_fuzz::frames_for(session.pattern(), 12, 9, 0x7A11);
-    let certified = session
-        .certify(&init, Architecture::new(Window::square(3), 2, 1))
-        .expect("certifies");
+    let arch = Architecture::new(Window::square(3), 2, 1);
+    let certified = session.certify(&init, arch).expect("certifies");
     let schedule = isl_hls::cosim::MaskSchedule::lsb();
+    let cosim = isl_hls::cosim::CoSimulator::new(session.pattern(), session.synth_options().format)
+        .expect("co-simulator builds")
+        .with_border(session.border());
+    let campaign = |init: &FrameSet| {
+        cosim
+            .fault_campaign(
+                init,
+                session.iterations(),
+                arch.window,
+                arch.depth,
+                &schedule,
+            )
+            .expect("co-simulator campaign runs")
+    };
+
+    let before = session.store_stats().vectors;
     let report = certified.fault_campaign(&init, &schedule).expect("campaign runs");
+    let after = session.store_stats().vectors;
+    assert_eq!(
+        after.misses, before.misses,
+        "the certified vectors were built again"
+    );
+    assert_eq!(after.hits, before.hits + 1);
+    assert_eq!(report, campaign(&init));
+
+    let other = isl_fuzz::frames_for(session.pattern(), 12, 9, 0x7A12);
+    let other_report = certified
+        .fault_campaign(&other, &schedule)
+        .expect("campaign runs");
+    assert_eq!(session.store_stats().vectors.misses, after.misses + 1);
+    assert_eq!(other_report, campaign(&other));
 
     assert_eq!(report.faults, report.detected + report.masked + report.silent);
     assert!(report.faults >= report.instructions, "sweep skipped instructions");

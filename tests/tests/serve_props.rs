@@ -3,7 +3,7 @@
 //! proven through the wire (`stats` op), not just through in-process
 //! counters, and bounded input: hostile lines are refused, not fatal.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -180,22 +180,25 @@ fn hostile_lines_are_refused_and_others_still_served() {
     assert!(reply().is_ok(), "the deep line closed its connection");
     other.ping().unwrap();
 
-    // A 4 MiB line: refused after the first 64 KiB, then the connection
-    // closes. The writer may see the close before it has sent everything.
+    // An 8 MiB line: refused after the first 64 KiB, then the connection
+    // closes cleanly — the client writes the whole line, reads the `err`
+    // line and then an EOF, never a reset.
     let sender = std::thread::spawn(move || {
-        let mut line = vec![b'x'; 4 << 20];
+        let mut line = vec![b'x'; 8 << 20];
         line.push(b'\n');
-        let _ = writer.write_all(&line);
+        writer.write_all(&line)
     });
     let err = reply().unwrap_err();
     assert!(err.contains("request line longer than"), "{err}");
     let mut rest = String::new();
     match reader.read_line(&mut rest) {
         Ok(0) => {}
-        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
-        other => panic!("connection left open: {other:?} {rest:?}"),
+        other => panic!("expected a clean EOF after the refusal: {other:?} {rest:?}"),
     }
-    sender.join().unwrap();
+    sender
+        .join()
+        .unwrap()
+        .expect("the refused line is read whole");
 
     other.ping().unwrap();
     assert!(other.stats("igf").is_ok());
