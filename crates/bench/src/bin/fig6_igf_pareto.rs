@@ -13,14 +13,14 @@ use isl_hls::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     rule("Figure 6: IGF Pareto curve, 1024x768 (Virtex-6)");
     let device = Device::virtex6_xc6vlx760();
-    let flow = IslFlow::from_algorithm(&gaussian_igf())?;
-    let result = flow.explore(&device, flow.workload(1024, 768), &DesignSpace::paper())?;
+    let session = IslSession::from_algorithm(&gaussian_igf())?;
+    let result = session.explore(&device, session.workload(1024, 768), &DesignSpace::paper())?;
 
     println!(
         "evaluated {} feasible architectures ({} skipped as infeasible), {} calibration syntheses",
         result.points().len(),
-        result.skipped_infeasible(),
-        result.calibration_syntheses()
+        result.exploration().skipped_infeasible(),
+        result.exploration().calibration_syntheses()
     );
     println!("\nPareto set (area ascending, time descending):");
     println!("  kLUTs      time/frame      fps   window depth cores  bound");

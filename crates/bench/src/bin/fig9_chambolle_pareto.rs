@@ -9,16 +9,16 @@ use isl_hls::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     rule("Figure 9: Chambolle Pareto curve, 1024x768 (Virtex-6)");
     let device = Device::virtex6_xc6vlx760();
-    let flow = IslFlow::from_algorithm(&chambolle())?;
+    let session = IslSession::from_algorithm(&chambolle())?;
     // Chambolle cones are an order of magnitude heavier than IGF cones, so
     // the feasible windows/depths are smaller — exactly the paper's point.
     let space = DesignSpace::new(1..=9, 1..=5, 16);
-    let result = flow.explore(&device, flow.workload(1024, 768), &space)?;
+    let result = session.explore(&device, session.workload(1024, 768), &space)?;
 
     println!(
         "evaluated {} feasible architectures ({} skipped as infeasible)",
         result.points().len(),
-        result.skipped_infeasible()
+        result.exploration().skipped_infeasible()
     );
     println!("\nPareto set:");
     println!("  kLUTs      time/frame      fps   window depth cores");

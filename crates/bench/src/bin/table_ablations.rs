@@ -22,10 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = Device::virtex6_xc6vlx760();
 
     rule("Ablation 1: register reuse vs naive expression trees (IGF, window 6x6)");
-    let flow = IslFlow::from_algorithm(&gaussian_igf())?;
+    let session = IslSession::from_algorithm(&gaussian_igf())?;
     println!("  depth  registers(DAG)  tree-ops(no reuse)   reuse factor");
     for depth in 1..=5u32 {
-        let cone = flow.build_cone(Window::square(6), depth)?;
+        let cone = session.cone(Window::square(6), depth)?;
         println!(
             "  {:>5}  {:>14}  {:>18.0}  {:>12.1}x",
             depth,
@@ -39,9 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rule("Ablation 2: algebraic simplification (constant folding, identities)");
     println!("  algorithm   simplified-regs  raw-regs   saved");
     for algo in [gaussian_igf(), chambolle()] {
-        let flow = IslFlow::from_algorithm(&algo)?;
-        let simplified = flow.build_cone(Window::square(4), 2)?;
-        let raw = isl_hls::ir::Cone::build_with(flow.pattern(), Window::square(4), 2, false)?;
+        let session = IslSession::from_algorithm(&algo)?;
+        let simplified = session.cone(Window::square(4), 2)?;
+        let raw = isl_hls::ir::Cone::build_with(session.pattern(), Window::square(4), 2, false)?;
         println!(
             "  {:<10}  {:>15}  {:>8}  {:>5.1}%",
             algo.name,
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     rule("Ablation 3: inter-cone logic sharing (IGF, window 4x4, depth 2)");
-    let flow = IslFlow::from_algorithm(&gaussian_igf())?;
+    let session = IslSession::from_algorithm(&gaussian_igf())?;
     let with = Synthesizer::with_options(
         &device,
         SynthOptions { jitter: false, ..SynthOptions::default() },
@@ -63,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  cones   LUTs(shared)  LUTs(no sharing)  saved");
     for n in [1u32, 2, 4, 8, 16] {
-        let a = with.synthesize(flow.pattern(), Window::square(4), 2, n)?;
-        let b = without.synthesize(flow.pattern(), Window::square(4), 2, n)?;
+        let a = with.synthesize(session.pattern(), Window::square(4), 2, n)?;
+        let b = without.synthesize(session.pattern(), Window::square(4), 2, n)?;
         println!(
             "  {:>5}  {:>12}  {:>16}  {:>5.1}%",
             n,
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let windows: Vec<Window> = (1..=8).map(Window::square).collect();
     println!("  calibration-points  max-err  avg-err");
     for points in [2usize, 3, 4] {
-        let v = flow.validate_area_model(&device, &windows, &[1, 2, 3], points)?;
+        let v = session.validate_area_model(&device, &windows, &[1, 2, 3], points)?;
         println!(
             "  {:>18}  {:>6.2}%  {:>6.2}%",
             points, v.max_error_pct, v.avg_error_pct

@@ -19,11 +19,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rule("Table C (Sec. 4.3): commercial HLS tools on the IGF, 1024x768");
     let device = Device::virtex6_xc6vlx760();
     let algo = gaussian_igf();
-    let flow = IslFlow::from_algorithm(&algo)?;
-    let workload = flow.workload(1024, 768);
+    let session = IslSession::from_algorithm(&algo)?;
+    let workload = session.workload(1024, 768);
 
     let tool = CommercialHls::new(&device);
-    let (best, failures, evaluated) = tool.explore(flow.pattern(), workload);
+    let (best, failures, evaluated) = tool.explore(session.pattern(), workload);
     let best = best.expect("some configurations succeed");
 
     println!("  configuration grid: {evaluated} tool runs, {} failures", failures.len());

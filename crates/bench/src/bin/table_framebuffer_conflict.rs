@@ -16,7 +16,7 @@ use isl_hls::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     rule("Extra E1: frame-buffer memory/performance conflict (IGF, N=10)");
-    let flow = IslFlow::from_algorithm(&gaussian_igf())?;
+    let session = IslSession::from_algorithm(&gaussian_igf())?;
 
     for device in [Device::small_multimedia(), Device::virtex6_xc6vlx760()] {
         println!(
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  frame        buffers-needed  fits?  bound     fps");
         let model = FrameBufferModel::new(&device);
         for (w, h) in [(128, 128), (256, 256), (512, 512), (1024, 768), (1920, 1080)] {
-            let r = model.evaluate(flow.pattern(), flow.workload(w, h))?;
+            let r = model.evaluate(session.pattern(), session.workload(w, h))?;
             println!(
                 "  {:>4}x{:<5}  {:>11.2} MB  {:>5}  {:>8}  {:>7.1}",
                 w,
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // The cone architecture's on-chip need at the same workloads is a
         // single input window, independent of the frame size.
-        let cone = flow.build_cone(Window::square(8), 2)?;
+        let cone = session.cone(Window::square(8), 2)?;
         let window_bytes =
             (cone.inputs().len() + cone.static_inputs().len()) * 3; // Q8.10 in 3 bytes
         println!(

@@ -2,8 +2,7 @@
 //!
 //! The repository builds fully offline, so the benches cannot depend on the
 //! `criterion` crate. This module provides the subset of its API the bench
-//! suite uses — [`Criterion`], [`Bencher::iter`], benchmark groups,
-//! [`BenchmarkId`] and the `criterion_group!`/`criterion_main!` macros — with
+//! uses — [`Criterion`], [`Bencher::iter`] and benchmark groups — with
 //! simple, robust timing: every benchmark is warmed up, batched until a batch
 //! lasts long enough for `Instant` noise to be negligible, and reported as
 //! the median per-iteration time over several batches.
@@ -111,44 +110,8 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Run one parameterised benchmark inside the group.
-    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        self.bench_function(id, |b| f(b, input))
-    }
-
     /// Close the group (no-op; kept for API compatibility).
     pub fn finish(self) {}
-}
-
-/// A benchmark identifier (`function_name/parameter`).
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    name: String,
-}
-
-impl BenchmarkId {
-    /// Id from a function name and a parameter.
-    pub fn new(function: impl Display, parameter: impl Display) -> Self {
-        BenchmarkId {
-            name: format!("{function}/{parameter}"),
-        }
-    }
-
-    /// Id from the parameter alone.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId {
-            name: parameter.to_string(),
-        }
-    }
-}
-
-impl Display for BenchmarkId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name)
-    }
 }
 
 /// Measures one closure.
@@ -222,30 +185,6 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Criterion-compatible group declaration: expands to a function running
-/// every listed benchmark against one [`Criterion`].
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name(c: &mut $crate::harness::Criterion) {
-            $($target(c);)+
-        }
-    };
-}
-
-/// Criterion-compatible entry point: expands to `fn main` running every
-/// listed group and printing the final summary.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::harness::Criterion::default();
-            $($group(&mut c);)+
-            c.final_summary();
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,12 +198,10 @@ mod tests {
             b.iter(|| (0..100u64).sum::<u64>())
         });
         let mut g = c.benchmark_group("grouped");
-        g.bench_with_input(BenchmarkId::new("id", 3), &3u64, |b, &n| {
-            b.iter(|| n * 2)
-        });
+        g.bench_function("id", |b| b.iter(|| 3u64 * 2));
         g.finish();
         assert_eq!(c.results().len(), 2);
-        assert_eq!(c.results()[1].name, "grouped/id/3");
+        assert_eq!(c.results()[1].name, "grouped/id");
         assert!(c.results().iter().all(|r| r.median_ns > 0.0));
         let json = c.to_json();
         assert!(json.contains("\"benchmarks\""));

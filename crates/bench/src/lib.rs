@@ -3,9 +3,8 @@
 //! Each experiment of the DAC 2013 evaluation has a regeneration function
 //! here and a binary under `src/bin` that prints the paper's value next to
 //! the measured one (see `EXPERIMENTS.md` at the repository root for the
-//! index and the recorded results). The Criterion benches under `benches/`
-//! measure the *flow itself* (symbolic execution, cone construction,
-//! estimation, exploration) rather than the modeled hardware.
+//! index and the recorded results). The one bench under `benches/`,
+//! `sim_engine`, times the simulation engines and writes `BENCH_sim.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,9 +59,9 @@ pub fn area_validation(
     sides: &[u32],
     depths: &[u32],
 ) -> Result<AreaExperiment, FlowError> {
-    let flow = IslFlow::from_algorithm(algo)?;
+    let session = IslSession::from_algorithm(algo)?;
     let windows: Vec<Window> = sides.iter().map(|&s| Window::square(s)).collect();
-    let v = flow.validate_area_model(device, &windows, depths, 2)?;
+    let v = session.validate_area_model(device, &windows, depths, 2)?;
     Ok(AreaExperiment {
         rows: v
             .rows
@@ -82,21 +81,6 @@ pub fn area_validation(
         full_synthesis_cpu_s: v.full_synthesis_cpu_s,
         calibration_cpu_s: v.calibration_cpu_s,
     })
-}
-
-/// Run the Figure 6 / Figure 9 Pareto exploration for one algorithm.
-///
-/// # Errors
-///
-/// Propagates flow errors.
-pub fn pareto_curve(
-    algo: &Algorithm,
-    device: &Device,
-    frame: (u32, u32),
-    space: &DesignSpace,
-) -> Result<Exploration, FlowError> {
-    let flow = IslFlow::from_algorithm(algo)?;
-    flow.explore(device, flow.workload(frame.0, frame.1), space)
 }
 
 /// One point of the Figure 7 / Figure 10 experiments.
@@ -126,15 +110,15 @@ pub fn throughput_sweep(
     sides: &[u32],
     depths: &[u32],
 ) -> Result<Vec<ThroughputRow>, FlowError> {
-    let flow = IslFlow::from_algorithm(algo)?;
-    let workload = flow.workload(frame.0, frame.1);
+    let session = IslSession::from_algorithm(algo)?;
+    let workload = session.workload(frame.0, frame.1);
     let mut rows = Vec::new();
     for &side in sides {
         for &depth in depths {
-            if depth > flow.iterations() {
+            if depth > session.iterations() {
                 continue;
             }
-            match flow.best_on_device(device, Window::square(side), depth, workload) {
+            match session.best_on_device(device, Window::square(side), depth, workload) {
                 Ok(r) => rows.push(ThroughputRow {
                     window_area: u64::from(side) * u64::from(side),
                     depth,

@@ -16,7 +16,9 @@
 //!
 //! 1. **Spec** — symbolic execution of the kernel extracts the stencil
 //!    pattern, verifying *domain narrowness* and *translational invariance*
-//!    (`isl-frontend`, `isl-symexec`);
+//!    (`isl-frontend`, `isl-symexec`); [`IslSession::with_persistent_store`]
+//!    puts the session's store on disk and [`IslSession::checkpoint`]
+//!    flushes it durably;
 //! 2. **Decomposed** — multi-iteration compute modules ("cones") are built
 //!    by unrolling the dependencies with full register reuse (`isl-ir`);
 //! 3. **Estimated** — the incremental register-based area model (Eq. 1,
@@ -29,6 +31,8 @@
 //! 6. **Certified** — bit-true hardware evidence
 //!    ([`ArchitectureCertificate`]): golden vectors recorded by the
 //!    quantised cone-DAG engine and certified word for word by `isl-vhdl`;
+//!    [`Certified::synthesize`] ships them in the bundle with a `run_ghdl.sh`
+//!    replay script;
 //! 7. **FormatSearched** — precision design-space exploration
 //!    ([`IslSession::search_format`]): binary-search the narrowest
 //!    fixed-point format within an [`ErrorBudget`], each probe measured on
@@ -111,33 +115,6 @@
 //!   range — is also unfixable by resolution alone). Expect a `1e-9`
 //!   budget on Chambolle to come back ~Q9.34 rather than Q8.x.
 //!
-//! ## Migrating from `IslFlow`
-//!
-//! [`IslFlow`] remains as a thin deprecated façade: every method delegates
-//! to one shared session, so old code keeps compiling (and now shares
-//! artifacts across calls for free). New code should use the staged API:
-//!
-//! | Old (`IslFlow`)                           | New (staged `IslSession`)                                   |
-//! |-------------------------------------------|-------------------------------------------------------------|
-//! | `IslFlow::from_source(src)?`              | `IslSession::from_source(src)?`                             |
-//! | `IslFlow::from_algorithm(&a)?`            | `IslSession::from_algorithm(&a)?`                           |
-//! | `IslFlow::from_pattern(p, n)`             | `IslSession::from_pattern(p, n)`                            |
-//! | `flow.with_border(b)` (etc.)              | `session.with_border(b)` (same builder set, plus `with_threads`) |
-//! | `flow.build_cone(w, d)?`                  | `session.decompose(w, d)?.main_cone()` (or `session.cone(w, d)?`) |
-//! | `flow.generate_vhdl(w, d)?`               | `session.synthesize(w, d)?.into_bundle()`                   |
-//! | `flow.validate_area_model(...)?`          | `session.validate_area_model(...)?`                         |
-//! | `flow.throughput(...)?` / `best_on_device`| `session.throughput(...)?` / `session.best_on_device(...)?` |
-//! | `flow.explore(dev, wl, space)?`           | `session.explore(dev, wl, space)?` (or `session.estimate(dev, space)?.explore(wl)?`) |
-//! | *(sweeping several workloads/devices)*    | `session.explore_many(&requests)`                           |
-//! | `flow.simulator()?`                       | `session.simulator()?`                                      |
-//! | `flow.run_architecture(init, arch)?`      | `session.run_architecture(init, arch)?`                     |
-//! | `flow.verify_architecture(init, arch)?`   | `session.certify(init, arch)?` (then `.certificate()`)      |
-//! | *(certifying a batch)*                    | `session.verify_many(&requests)`                            |
-//! | *(vectors next to the VHDL, by hand)*     | `session.certify(...)?.synthesize()?.write_to(dir)?` + `run_ghdl.sh` |
-//! | *(fixed-point format chosen by hand)*     | `session.search_format(dev, init, arch, budget)?` (new stage)        |
-//! | *(artifacts die with the process)*        | `session.with_persistent_store(path)?` (on-disk tier; see `isl-persist`) |
-//! | *(store flushed only at drop)*            | `session.checkpoint()?` (explicit durable flush)            |
-//!
 //! Functional correctness of the whole architecture template is provable in
 //! simulation: window-by-window cone execution is bit-identical to the
 //! golden whole-frame iteration (`isl-sim`), and stage results served from
@@ -148,14 +125,12 @@
 #![warn(missing_docs)]
 
 mod error;
-mod flow;
 mod persist;
 mod session;
 mod store;
 mod telemetry;
 
 pub use error::{FlowError, Stage};
-pub use flow::IslFlow;
 pub use session::{
     ArchitectureCertificate, Certified, Decomposed, ErrorBudget, Estimated, Explored,
     ExploreRequest, FormatProbe, FormatSearchOutcome, FormatSearched, IslSession, Synthesized,
@@ -168,9 +143,9 @@ pub use telemetry::TelemetryReport;
 pub mod prelude {
     pub use crate::{
         ArchitectureCertificate, ArtifactStore, Certified, Decomposed, ErrorBudget, Estimated,
-        Explored, ExploreRequest, FlowError, FormatProbe, FormatSearchOutcome, FormatSearched,
-        IslFlow, IslSession, Stage, StoreStats, Synthesized, TelemetryReport, VectorSet,
-        VerifyRequest, VhdlBundle,
+        ExploreRequest, Explored, FlowError, FormatProbe, FormatSearchOutcome, FormatSearched,
+        IslSession, Stage, StoreStats, Synthesized, TelemetryReport, VectorSet, VerifyRequest,
+        VhdlBundle,
     };
     pub use isl_dse::{Calibration, DesignPoint, DesignSpace, Exploration, Explorer};
     pub use isl_estimate::{

@@ -22,9 +22,6 @@
 //! [`IslSession::verify_many`]) fans independent requests over the
 //! persistent worker pool while all of them share one store, so a sweep
 //! over devices or workloads builds each cone shape once.
-//!
-//! The pre-redesign [`crate::IslFlow`] survives as a thin shim over a
-//! session (see the [migration table](crate#migrating-from-islflow)).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -176,7 +173,7 @@ impl VhdlBundle {
 }
 
 /// Evidence that one architecture instance computes what the hardware will:
-/// returned by [`IslSession::certify`] (and the [`crate::IslFlow`] shim).
+/// returned by [`IslSession::certify`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchitectureCertificate {
     /// The certified instance.
@@ -242,8 +239,7 @@ struct Spec {
 /// options, so artifacts cached under previous settings are simply not
 /// matched.
 ///
-/// See the [crate-level documentation](crate) for the full staged example
-/// and the migration table from the flat [`crate::IslFlow`] API.
+/// See the [crate-level documentation](crate) for the full staged example.
 #[derive(Debug, Clone)]
 pub struct IslSession {
     spec: Arc<Spec>,
@@ -464,8 +460,7 @@ impl IslSession {
             .map_err(|e| FlowError::from(e).at(stage, Some(&key)))
     }
 
-    /// Stage 2 helper, public for shims and power users: the shared cone of
-    /// `(window, depth)`.
+    /// Stage 2 helper: the shared cone of `(window, depth)`.
     ///
     /// # Errors
     ///
@@ -590,8 +585,9 @@ impl IslSession {
 
     /// Stage 4 (**Explored**): explore the design space and extract the
     /// Pareto set — an estimation stage followed by [`Estimated::explore`].
-    /// The calibration follows `workload`'s iteration count (which may
-    /// differ from the session's), exactly like the pre-redesign flat API.
+    /// The calibration follows `workload`'s iteration count, not the
+    /// session's: it covers the remainder depths of a
+    /// `workload.iterations`-long run.
     ///
     /// # Errors
     ///

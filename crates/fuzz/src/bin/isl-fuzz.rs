@@ -40,7 +40,8 @@
 //! `--telemetry <out.json>` (structured run report: spans, counters,
 //! gauges) and `--trace <out.trace.json>` (Chrome trace-event file,
 //! loadable in Perfetto / `chrome://tracing`); either one enables the
-//! telemetry collector for the run.
+//! telemetry collector for the run. Any other option, an option without a
+//! value and a stray argument print the usage and exit non-zero.
 
 #![forbid(unsafe_code)]
 
@@ -49,6 +50,18 @@ use std::process::ExitCode;
 use isl_fuzz::fuzz_frontend;
 use isl_hls::prelude::*;
 use isl_hls::FlowError;
+
+const USAGE: &str = "usage: isl-fuzz <diff|replay|analyze|mutate|campaign|persist> [options] \
+                     [--telemetry out.json] [--trace out.trace.json]";
+
+/// Each subcommand, one a line, with the options its doc block lists;
+/// every option takes a value.
+const COMMANDS: &str = "diff --iters --seed --corpus-dir --shrink-budget --progress-every
+replay
+analyze --corpus-dir
+mutate --iters --seed
+campaign
+persist --iters --seed --corpus-dir --shrink-budget --write-fixtures --replay-dir";
 
 fn arg_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -261,12 +274,10 @@ fn cmd_campaign() -> Result<ExitCode, FlowError> {
     let (w, h) = (24, 18);
 
     for algo in [isl_algorithms::gaussian_igf(), isl_algorithms::chambolle()] {
-        let flow = IslFlow::from_algorithm(&algo)?;
-        let explored = flow
-            .session()
-            .explore(&device, flow.workload(w, h), &space)?;
+        let session = IslSession::from_algorithm(&algo)?;
+        let explored = session.explore(&device, session.workload(w, h), &space)?;
         let best = explored.fastest().expect("explorations are non-empty");
-        let init = isl_fuzz::frames_for(flow.pattern(), w as usize, h as usize, 0x5EED);
+        let init = isl_fuzz::frames_for(session.pattern(), w as usize, h as usize, 0x5EED);
         let certified = explored.certify_fastest(&init)?;
         let fmt = certified.certificate().format;
         let schedule = isl_hls::cosim::MaskSchedule::standard(fmt);
@@ -326,11 +337,67 @@ fn cmd_persist(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// Remove the flag `name` and its value from `args`, returning the value.
-fn take_flag(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == name)?;
+/// Remove the flag `name` and its value from `args`, returning the value;
+/// an error when the flag has no value.
+fn take_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
     args.remove(i);
-    (i < args.len()).then(|| args.remove(i))
+    match args.get(i) {
+        Some(value) if !value.starts_with("--") => Ok(Some(args.remove(i))),
+        _ => Err(format!("option `{name}` needs a value")),
+    }
+}
+
+/// A checked command line: the telemetry sinks, the subcommand and its
+/// arguments.
+struct Args {
+    telemetry: Option<String>,
+    trace: Option<String>,
+    cmd: String,
+    rest: Vec<String>,
+}
+
+/// Take the global flags from anywhere in `args`, then refuse what the
+/// subcommand would otherwise ignore: an option its doc block does not
+/// list, an option without a value or given twice, and a positional
+/// argument (only `replay` takes those).
+fn parse_args(mut args: Vec<String>) -> Result<Args, String> {
+    let telemetry = take_flag(&mut args, "--telemetry")?;
+    let trace = take_flag(&mut args, "--trace")?;
+    if args.is_empty() {
+        return Err("no command given".into());
+    }
+    let cmd = args.remove(0);
+    let known: Vec<&str> = COMMANDS
+        .lines()
+        .map(|line| line.split(' ').collect::<Vec<_>>())
+        .find(|words| words[0] == cmd)
+        .ok_or_else(|| format!("unknown command `{cmd}`"))?;
+    let mut seen = Vec::new();
+    let mut words = args.iter();
+    while let Some(arg) = words.next() {
+        if !arg.starts_with("--") {
+            if cmd != "replay" {
+                return Err(format!("`{cmd}` takes no argument `{arg}`"));
+            }
+        } else if !known[1..].contains(&arg.as_str()) {
+            return Err(format!("`{cmd}` has no option `{arg}`"));
+        } else if seen.contains(&arg) {
+            return Err(format!("option `{arg}` given twice"));
+        } else if words.next().is_none_or(|value| value.starts_with("--")) {
+            return Err(format!("option `{arg}` needs a value"));
+        } else {
+            seen.push(arg);
+        }
+    }
+    Ok(Args {
+        telemetry,
+        trace,
+        cmd,
+        rest: args,
+    })
 }
 
 /// Write the telemetry sinks requested by the global `--telemetry` /
@@ -353,36 +420,77 @@ fn write_telemetry(
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: isl-fuzz <diff|replay|analyze|mutate|campaign|persist> [options] \
-                 [--telemetry out.json] [--trace out.trace.json]";
+    let args = match parse_args(std::env::args().skip(1).collect()) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("isl-fuzz: {msg}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     isl_analyze::install_debug_verifier();
-    let telemetry_out = take_flag(&mut args, "--telemetry");
-    let trace_out = take_flag(&mut args, "--trace");
-    if telemetry_out.is_some() || trace_out.is_some() {
+    if args.telemetry.is_some() || args.trace.is_some() {
         isl_telemetry::start();
     }
-    let Some(cmd) = args.first() else {
-        eprintln!("{usage}");
-        return ExitCode::FAILURE;
-    };
-    let rest = &args[1..];
-    let result: Result<ExitCode, String> = match cmd.as_str() {
+    let rest = &args.rest;
+    let result: Result<ExitCode, String> = match args.cmd.as_str() {
         "diff" => cmd_diff(rest),
         "replay" => cmd_replay(rest),
         "analyze" => cmd_analyze(rest),
         "mutate" => cmd_mutate(rest),
         "campaign" => cmd_campaign().map_err(|e| e.to_string()),
         "persist" => cmd_persist(rest),
-        other => Err(format!("unknown command `{other}`\n{usage}")),
+        other => unreachable!("parse_args admits no command `{other}`"),
     };
-    let result = result
-        .and_then(|code| write_telemetry(telemetry_out.as_deref(), trace_out.as_deref()).map(|()| code));
+    let result = result.and_then(|code| {
+        write_telemetry(args.telemetry.as_deref(), args.trace.as_deref()).map(|()| code)
+    });
     match result {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("isl-fuzz: {msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{parse_args, Args};
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(String::from).collect())
+    }
+
+    #[test]
+    fn unknown_options_and_stray_arguments_are_refused() {
+        // The first two once ran the defaults (2 000 mutations, the full campaign).
+        for line in [
+            "mutate --iter 3 --seed 1",
+            "campaign --fast",
+            "diff --iters",
+            "diff --iters --seed 1",
+            "diff --seed 1 --seed 2",
+            "analyze tests/corpus",
+            "campaign --trace",
+            "fuzz",
+            "",
+        ] {
+            assert!(parse(line).is_err(), "`{line}` was accepted");
+        }
+        assert!(parse("--trace t.json replay a.c b.c").is_ok());
+    }
+
+    #[test]
+    fn ci_command_lines_are_accepted() {
+        let ci = include_str!("../../../../.github/workflows/ci.yml");
+        let lines: Vec<&str> = ci
+            .lines()
+            .filter_map(|line| line.split_once("-p isl-fuzz --"))
+            .map(|(_, args)| args)
+            .collect();
+        assert!(lines.len() >= 6, "{lines:?}");
+        for line in lines {
+            parse(line).unwrap_or_else(|e| panic!("`{line}` refused: {e}"));
         }
     }
 }

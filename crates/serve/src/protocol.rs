@@ -8,9 +8,10 @@
 //! in-repo JSON support from `isl-telemetry` — no external dependencies.
 //!
 //! Input is bounded: a request nested deeper than
-//! [`isl_telemetry::json::MAX_DEPTH`] is answered with an error line, and
-//! a line longer than [`MAX_REQUEST_LINE`] bytes is answered with an
-//! error line and closes its connection.
+//! [`isl_telemetry::json::MAX_DEPTH`] or asking for more than the `MAX_*`
+//! sizes below is answered with an error line, and a line longer than
+//! [`MAX_REQUEST_LINE`] bytes is answered with an error line and closes
+//! its connection.
 //!
 //! ```text
 //! → {"op":"explore","id":1,"algo":"igf","width":64,"height":48}
@@ -24,6 +25,23 @@ use isl_telemetry::json::{escape_into, parse, Value};
 /// The longest request line the service reads, newline included. The
 /// longest valid request is a few hundred bytes.
 pub const MAX_REQUEST_LINE: u64 = 64 * 1024;
+
+/// The largest `width × height` a `certify` or `search_format` request may
+/// ask for, in elements. Certification records every cone firing of the
+/// run: at this size a window-1 depth-1 Chambolle certify already takes
+/// ~0.6 s on one worker thread and lifts the service's peak RSS to ~90 MB.
+pub const MAX_FRAME_AREA: u64 = 64 * 64;
+
+/// The largest window side: a certified instance's `window` and an
+/// exploration's `max_side`.
+pub const MAX_WINDOW_SIDE: u32 = 16;
+
+/// The largest cone depth: a certified instance's `depth` and an
+/// exploration's `max_depth`.
+pub const MAX_CONE_DEPTH: u32 = 10;
+
+/// The largest `max_cores` of an exploration.
+pub const MAX_CORES: u32 = 64;
 
 /// The operations the service answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,6 +202,31 @@ impl Request {
             rms: num(&v, "rms").unwrap_or(d.rms),
             max_width: num_u32(&v, "max_width", d.max_width),
         })
+    }
+
+    /// Refuse sizes over the `MAX_*` caps, before the service allocates a
+    /// frame or builds a cone for them.
+    pub(crate) fn check_limits(&self) -> Result<(), String> {
+        let area = u64::from(self.width) * u64::from(self.height);
+        let caps: [(&str, u64, u64); 3] = match self.op {
+            Op::Certify | Op::SearchFormat => [
+                ("frame area (width x height)", area, MAX_FRAME_AREA),
+                ("window", self.window.into(), MAX_WINDOW_SIDE.into()),
+                ("depth", self.depth.into(), MAX_CONE_DEPTH.into()),
+            ],
+            Op::Explore => [
+                ("max_side", self.max_side.into(), MAX_WINDOW_SIDE.into()),
+                ("max_depth", self.max_depth.into(), MAX_CONE_DEPTH.into()),
+                ("max_cores", self.max_cores.into(), MAX_CORES.into()),
+            ],
+            Op::Ping | Op::Stats | Op::Shutdown => return Ok(()),
+        };
+        match caps.into_iter().find(|&(_, value, limit)| value > limit) {
+            Some((what, value, limit)) => {
+                Err(format!("{what} {value} is over the limit of {limit}"))
+            }
+            None => Ok(()),
+        }
     }
 
     /// Encode as one request line (no trailing newline).
@@ -352,6 +395,24 @@ mod tests {
         for line in ["", "{", "42", r#"{"op":"launch_missiles"}"#, r#"{"id":1}"#] {
             assert!(Request::from_line(line).is_err(), "{line:?}");
         }
+    }
+
+    #[test]
+    fn sizes_are_capped_per_op() {
+        let admits = |line: &str| Request::from_line(line).unwrap().check_limits().is_ok();
+        assert!(admits(
+            r#"{"op":"certify","width":64,"height":64,"window":16,"depth":10}"#
+        ));
+        assert!(!admits(r#"{"op":"certify","width":65,"height":64}"#));
+        assert!(!admits(r#"{"op":"search_format","window":17}"#));
+        assert!(!admits(r#"{"op":"certify","depth":11}"#));
+        assert!(admits(
+            r#"{"op":"explore","max_side":16,"max_depth":10,"max_cores":64}"#
+        ));
+        assert!(admits(r#"{"op":"explore","width":4096,"height":4096}"#));
+        assert!(!admits(r#"{"op":"explore","max_side":17}"#));
+        assert!(!admits(r#"{"op":"explore","max_depth":11}"#));
+        assert!(!admits(r#"{"op":"explore","max_cores":65}"#));
     }
 
     #[test]

@@ -410,6 +410,9 @@ fn handle_request(state: &Arc<ServiceState>, jobs: &mpsc::Sender<Job>, line: &st
         Err(e) => return err_line(0, &e),
     };
     let id = request.id;
+    if let Err(e) = request.check_limits() {
+        return err_line(id, &e);
+    }
     match request.op {
         // Control-plane ops are answered inline — stats must not queue
         // behind a long exploration to be useful as liveness evidence.

@@ -6,13 +6,13 @@
 
 #![forbid(unsafe_code)]
 
-use isl_hls::algorithms::{chambolle, chambolle as chambolle_mod};
+use isl_hls::algorithms::chambolle;
 use isl_hls::prelude::*;
 use isl_hls::sim::synthetic;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let algo = chambolle();
-    let flow = IslFlow::from_algorithm(&algo)?;
+    let session = IslSession::from_algorithm(&algo)?;
     let device = Device::virtex6_xc6vlx760();
 
     // -- functional demonstration: denoise ---------------------------------
@@ -25,19 +25,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         noisy.clone(),    // observed image g (static field)
     ])?;
     let lambda = 0.3;
-    let sim = isl_hls::sim::Simulator::new(flow.pattern())?
-        .with_params(vec![0.25, lambda])?;
+    let sim = isl_hls::sim::Simulator::new(session.pattern())?.with_params(vec![0.25, lambda])?;
     let out = sim.run(&init, 40)?;
     let denoised =
         isl_hls::algorithms::chambolle::recover_image(&out, BorderMode::Clamp, lambda);
     println!("== functional check: TV denoising of a 48x48 synthetic scene ==");
     println!("  RMS error before: {:.4}", noisy.rms_diff(&clean));
     println!("  RMS error after:  {:.4}", denoised.rms_diff(&clean));
-    let _ = chambolle_mod; // module alias used above
 
     // -- Figure 8: area estimation ------------------------------------------
     let windows: Vec<Window> = (1..=6).map(Window::square).collect();
-    let v = flow.validate_area_model(&device, &windows, &[1, 2, 3], 2)?;
+    let v = session.validate_area_model(&device, &windows, &[1, 2, 3], 2)?;
     println!("\n== Figure 8: Chambolle area estimation ==");
     println!("  paper: max error 6.36 %, avg 2.19 %");
     println!(
@@ -49,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // -- Figure 9: Pareto curve ------------------------------------------------
     let space = DesignSpace::new(1..=8, 1..=3, 4);
-    let result = flow.explore(&device, flow.workload(1024, 768), &space)?;
+    let result = session.explore(&device, session.workload(1024, 768), &space)?;
     println!("\n== Figure 9: Chambolle Pareto curve (1024x768) ==");
     println!("  kLUTs      time/frame   window depth cores");
     for p in result.pareto() {
@@ -68,7 +66,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  paper: best is 8x8 (two cones fit), not 9x9; ~24 fps at 1024x768");
     println!("  window   fps     cores");
     for side in 4..=9u32 {
-        match flow.best_on_device(&device, Window::square(side), 1, flow.workload(1024, 768)) {
+        match session.best_on_device(
+            &device,
+            Window::square(side),
+            1,
+            session.workload(1024, 768),
+        ) {
             Ok(r) => println!(
                 "  {:>4}x{:<4} {:>6.1}  {:>5}",
                 side, side, r.fps, r.arch.cores
@@ -80,12 +83,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Comparison with the hand-made design [19].
     println!("\n== vs the hand-made design [19] (months of work) ==");
     for (res, paper_manual, paper_auto) in [((1024, 768), 38.0, 24.0), ((512, 512), 99.0, 72.0)] {
-        let ours = flow
+        let ours = session
             .best_on_device(
                 &device,
                 Window::square(8),
                 1,
-                flow.workload(res.0, res.1),
+                session.workload(res.0, res.1),
             )
             .map(|r| r.fps)
             .unwrap_or(0.0);

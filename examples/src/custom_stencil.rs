@@ -27,25 +27,25 @@ void aniso(const float u[H][W], float u_out[H][W], float limit) {
 "#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let flow = IslFlow::from_source(KERNEL)?;
+    let session = IslSession::from_source(KERNEL)?;
     println!("== pattern extracted from the custom kernel ==");
-    println!("{}", flow.pattern());
+    println!("{}", session.pattern());
 
     // Prove the cone architecture computes exactly the golden iteration.
-    let sim = flow.simulator()?;
+    let sim = session.simulator()?;
     let init = FrameSet::from_frames(vec![synthetic::add_noise(
         &synthetic::gradient(40, 30),
         13,
         0.5,
     )])?;
-    let golden = sim.run(&init, flow.iterations())?;
+    let golden = sim.run(&init, session.iterations())?;
     let mut worst: f64 = 0.0;
     for (window, depth) in [
         (Window::square(4), 3),
         (Window::square(5), 4),
         (Window::rect(6, 3), 2),
     ] {
-        let tiled = sim.run_tiled(&init, flow.iterations(), window, depth)?;
+        let tiled = sim.run_tiled(&init, session.iterations(), window, depth)?;
         let diff = golden.max_abs_diff(&tiled);
         worst = worst.max(diff);
         println!("  tiled {window} depth {depth}: max |diff| vs golden = {diff:.2e}");
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Explore on two devices to see the cost of a smaller part.
     for device in [Device::virtex6_xc6vlx760(), Device::small_multimedia()] {
         let space = DesignSpace::new(1..=5, 1..=4, 8);
-        match flow.explore(&device, flow.workload(640, 480), &space) {
+        match session.explore(&device, session.workload(640, 480), &space) {
             Ok(result) => {
                 let fastest = result.fastest().expect("feasible");
                 println!(

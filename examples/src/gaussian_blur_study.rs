@@ -15,14 +15,14 @@ use isl_hls::sim::synthetic;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let algo = gaussian_igf();
-    let flow = IslFlow::from_algorithm(&algo)?;
+    let session = IslSession::from_algorithm(&algo)?;
     let device = Device::virtex6_xc6vlx760();
 
     // -- functional demonstration -----------------------------------------
-    let sim = flow.simulator()?;
+    let sim = session.simulator()?;
     let image = synthetic::checkerboard(64, 48, 4);
     let init = FrameSet::from_frames(vec![image.clone()])?;
-    let blurred = sim.run(&init, flow.iterations())?;
+    let blurred = sim.run(&init, session.iterations())?;
     let var = |f: &Frame| {
         let m = f.mean();
         f.as_slice().iter().map(|v| (v - m) * (v - m)).sum::<f64>() / f.len() as f64
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -- Figure 5: area estimation accuracy ---------------------------------
     let windows: Vec<Window> = (1..=9).map(Window::square).collect();
     let depths = [1u32, 2, 3, 4, 5];
-    let v = flow.validate_area_model(&device, &windows, &depths, 2)?;
+    let v = session.validate_area_model(&device, &windows, &depths, 2)?;
     println!("\n== Figure 5: IGF area estimation (actual vs Eq.1) ==");
     println!("  paper: max error 6.58 %, avg 2.93 %");
     println!(
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // -- Figure 6: Pareto curve ----------------------------------------------
-    let result = flow.explore(&device, flow.workload(1024, 768), &DesignSpace::paper())?;
+    let result = session.explore(&device, session.workload(1024, 768), &DesignSpace::paper())?;
     println!("\n== Figure 6: IGF Pareto curve (1024x768) ==");
     println!("  {} points evaluated, Pareto set:", result.points().len());
     println!("  kLUTs      time/frame   window depth cores");
@@ -71,8 +71,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for side in 2..=9u32 {
         print!("  {:>11}", side * side);
         for depth in 1..=5u32 {
-            match flow.best_on_device(&device, Window::square(side), depth, flow.workload(1024, 768))
-            {
+            match session.best_on_device(
+                &device,
+                Window::square(side),
+                depth,
+                session.workload(1024, 768),
+            ) {
                 Ok(r) => print!("  {:>7.1}", r.fps),
                 Err(_) => print!("   (infeasible)"),
             }

@@ -329,7 +329,7 @@ fn injected_fault_is_caught_and_triaged() {
     assert!(!caught.opcode.is_empty());
 }
 
-/// The flow-level acceptance gate: `verify_architecture` certifies
+/// The flow-level acceptance gate: `IslSession::certify` certifies
 /// gaussian-IGF and chambolle at their DSE-chosen (window, depth)
 /// decompositions — quantised compiled paths bit-identical to references,
 /// golden vectors mismatch-free.
@@ -339,17 +339,18 @@ fn verify_architecture_certifies_igf_and_chambolle() {
         isl_hls::algorithms::gaussian_igf(),
         isl_hls::algorithms::chambolle(),
     ] {
-        let flow = IslFlow::from_algorithm(&algo).expect("flow builds");
+        let session = IslSession::from_algorithm(&algo).expect("session builds");
         let device = Device::virtex6_xc6vlx760();
         let space = DesignSpace::new(2..=5, 1..=3, 4);
-        let result = flow
-            .explore(&device, flow.workload(24, 18), &space)
+        let result = session
+            .explore(&device, session.workload(24, 18), &space)
             .expect("explores");
         let best = result.fastest().expect("feasible point");
-        let init = frames_for(flow.pattern(), 24, 18, 0x5EED ^ algo.name.len() as u64);
-        let cert = flow
-            .verify_architecture(&init, best.arch)
+        let init = frames_for(session.pattern(), 24, 18, 0x5EED ^ algo.name.len() as u64);
+        let certified = session
+            .certify(&init, best.arch)
             .unwrap_or_else(|e| panic!("{}: {e}", algo.name));
+        let cert = certified.certificate();
         assert_eq!(cert.arch, best.arch);
         assert!(cert.quantized_elements > 0, "{}", algo.name);
         assert!(cert.vector_records > 0, "{}", algo.name);

@@ -27,29 +27,32 @@ fn initial_frames(algo: &Algorithm, pattern: &StencilPattern, w: usize, h: usize
 fn every_algorithm_runs_the_whole_flow() {
     let device = Device::virtex6_xc6vlx760();
     for algo in all() {
-        let flow = IslFlow::from_algorithm(&algo)
-            .unwrap_or_else(|e| panic!("{}: {e}", algo.name));
+        let session =
+            IslSession::from_algorithm(&algo).unwrap_or_else(|e| panic!("{}: {e}", algo.name));
 
         // Cones build and expose sane geometry.
-        let depth = flow.iterations().min(2);
-        let cone = flow.build_cone(Window::square(3), depth).unwrap();
+        let depth = session.iterations().min(2);
+        let cone = session.cone(Window::square(3), depth).unwrap();
         assert!(!cone.inputs().is_empty(), "{}", algo.name);
         assert_eq!(
             cone.outputs().len(),
-            9 * flow.pattern().dynamic_fields().len(),
+            9 * session.pattern().dynamic_fields().len(),
             "{}",
             algo.name
         );
 
         // VHDL generates and passes the structural checker.
-        let bundle = flow.generate_vhdl(Window::square(3), depth).unwrap();
+        let bundle = session
+            .synthesize(Window::square(3), depth)
+            .unwrap()
+            .into_bundle();
         check::validate(&bundle.entity).unwrap_or_else(|e| panic!("{}: {e}", algo.name));
         check::validate_package(&bundle.package).unwrap();
 
         // A small exploration finds feasible points.
         let space = DesignSpace::new(1..=3, 1..=depth.max(1), 2);
-        let result = flow
-            .explore(&device, flow.workload(96, 96), &space)
+        let result = session
+            .explore(&device, session.workload(96, 96), &space)
             .unwrap_or_else(|e| panic!("{}: {e}", algo.name));
         assert!(!result.pareto().is_empty(), "{}", algo.name);
     }
@@ -58,10 +61,10 @@ fn every_algorithm_runs_the_whole_flow() {
 #[test]
 fn tiled_execution_is_exact_for_every_algorithm() {
     for algo in all() {
-        let flow = IslFlow::from_algorithm(&algo).unwrap();
-        let sim = flow.simulator().unwrap();
-        let init = initial_frames(&algo, flow.pattern(), 21, 17);
-        let iters = flow.iterations().min(6);
+        let session = IslSession::from_algorithm(&algo).unwrap();
+        let sim = session.simulator().unwrap();
+        let init = initial_frames(&algo, session.pattern(), 21, 17);
+        let iters = session.iterations().min(6);
         let golden = sim.run(&init, iters).unwrap();
         for (window, depth) in [(Window::square(4), 2), (Window::square(5), 3)] {
             let depth = depth.min(iters.max(1));
@@ -82,14 +85,14 @@ fn native_references_agree_with_extracted_patterns() {
         let Some(native) = algo.native_step else {
             continue;
         };
-        let flow = IslFlow::from_algorithm(&algo).unwrap();
-        let sim = flow.simulator().unwrap();
-        let init = initial_frames(&algo, flow.pattern(), 15, 12);
+        let session = IslSession::from_algorithm(&algo).unwrap();
+        let sim = session.simulator().unwrap();
+        let init = initial_frames(&algo, session.pattern(), 15, 12);
         let params = algo.default_params();
-        let iters = flow.iterations().min(4);
+        let iters = session.iterations().min(4);
         let mut expect = init.clone();
         for _ in 0..iters {
-            expect = native(&expect, flow.border(), &params);
+            expect = native(&expect, session.border(), &params);
         }
         let got = sim.run(&init, iters).unwrap();
         assert!(
@@ -106,18 +109,20 @@ fn exploration_estimates_match_synthesis_for_pareto_points() {
     // trustworthy against "real" synthesis.
     let device = Device::virtex6_xc6vlx760();
     let algo = isl_hls::algorithms::gaussian_igf();
-    let flow = IslFlow::from_algorithm(&algo).unwrap();
+    let session = IslSession::from_algorithm(&algo).unwrap();
     let space = DesignSpace::new(1..=6, 1..=3, 4);
-    let result = flow.explore(&device, flow.workload(256, 192), &space).unwrap();
+    let result = session
+        .explore(&device, session.workload(256, 192), &space)
+        .unwrap();
     let synth = Synthesizer::new(&device);
     for p in result.pareto() {
         let actual = synth
-            .synthesize(flow.pattern(), p.arch.window, p.arch.depth, p.arch.cores)
+            .synthesize(session.pattern(), p.arch.window, p.arch.depth, p.arch.cores)
             .unwrap();
-        let rem = flow.iterations() % p.arch.depth;
+        let rem = session.iterations() % p.arch.depth;
         let rem_luts = if rem > 0 {
             synth
-                .synthesize(flow.pattern(), p.arch.window, rem, 1)
+                .synthesize(session.pattern(), p.arch.window, rem, 1)
                 .unwrap()
                 .luts
         } else {
@@ -140,9 +145,9 @@ fn exploration_estimates_match_synthesis_for_pareto_points() {
 
 #[test]
 fn deeper_cones_trade_area_for_fewer_levels() {
-    let flow = IslFlow::from_algorithm(&isl_hls::algorithms::jacobi4()).unwrap();
-    let shallow = flow.build_cone(Window::square(4), 1).unwrap();
-    let deep = flow.build_cone(Window::square(4), 6).unwrap();
+    let session = IslSession::from_algorithm(&isl_hls::algorithms::jacobi4()).unwrap();
+    let shallow = session.cone(Window::square(4), 1).unwrap();
+    let deep = session.cone(Window::square(4), 6).unwrap();
     assert!(deep.registers() > shallow.registers());
     // Register reuse keeps the deep cone orders below the naive tree, whose
     // size grows exponentially in depth (~4^d for the 4-point stencil).

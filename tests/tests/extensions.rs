@@ -148,8 +148,8 @@ fn convergence_detection_matches_direct_iteration() {
         avg,
     );
     p.set_update(f, update).unwrap();
-    let flow = IslFlow::from_pattern(p, 100).with_border(BorderMode::Mirror);
-    let sim = flow.simulator().unwrap();
+    let session = IslSession::from_pattern(p, 100).with_border(BorderMode::Mirror);
+    let sim = session.simulator().unwrap();
     let init = FrameSet::from_frames(vec![synthetic::noise(10, 10, 77)]).unwrap();
     let eps = 1e-8;
     let (fixed, report) = sim.run_until_converged(&init, eps, 10_000).unwrap();

@@ -16,9 +16,9 @@ fn stimulus(f: FieldId, p: Point) -> f64 {
 fn fixed_point_tracks_f64_within_tb_tolerance() {
     let fmt = FixedFormat::default();
     for algo in all() {
-        let flow = IslFlow::from_algorithm(&algo).unwrap();
-        let depth = flow.iterations().min(2);
-        let cone = flow.build_cone(Window::square(2), depth).unwrap();
+        let session = IslSession::from_algorithm(&algo).unwrap();
+        let depth = session.iterations().min(2);
+        let cone = session.cone(Window::square(2), depth).unwrap();
         let params = algo.default_params();
         let fixed = eval_fixed(&cone, fmt, stimulus, &params);
         let float = cone.eval(stimulus, &params);
@@ -42,8 +42,8 @@ fn life_is_bit_exact_in_fixed_point() {
     // Integer-valued data and half-integer thresholds: quantisation must not
     // flip a single cell.
     let algo = isl_hls::algorithms::game_of_life();
-    let flow = IslFlow::from_algorithm(&algo).unwrap();
-    let cone = flow.build_cone(Window::square(3), 2).unwrap();
+    let session = IslSession::from_algorithm(&algo).unwrap();
+    let cone = session.cone(Window::square(3), 2).unwrap();
     let board = |_f: FieldId, p: Point| f64::from((p.x * 3 + p.y * 5).rem_euclid(4) == 0);
     let fixed = eval_fixed(&cone, FixedFormat::default(), board, &[]);
     let float = cone.eval(board, &[]);
@@ -54,8 +54,8 @@ fn life_is_bit_exact_in_fixed_point() {
 
 #[test]
 fn narrower_formats_degrade_gracefully() {
-    let flow = IslFlow::from_algorithm(&isl_hls::algorithms::gaussian_igf()).unwrap();
-    let cone = flow.build_cone(Window::square(3), 3).unwrap();
+    let session = IslSession::from_algorithm(&isl_hls::algorithms::gaussian_igf()).unwrap();
+    let cone = session.cone(Window::square(3), 3).unwrap();
     let float = cone.eval(stimulus, &[]);
     let max_err = |fmt: FixedFormat| {
         eval_fixed(&cone, fmt, stimulus, &[])

@@ -13,9 +13,9 @@ fn area_model_single_digit_errors() {
     for (algo, paper_max, paper_avg) in
         [(gaussian_igf(), 6.58, 2.93), (chambolle(), 6.36, 2.19)]
     {
-        let flow = IslFlow::from_algorithm(&algo).unwrap();
+        let session = IslSession::from_algorithm(&algo).unwrap();
         let windows: Vec<Window> = (1..=6).map(Window::square).collect();
-        let v = flow
+        let v = session
             .validate_area_model(&device, &windows, &[1, 2, 3], 2)
             .unwrap();
         assert!(
@@ -38,9 +38,9 @@ fn area_model_single_digit_errors() {
 #[test]
 fn estimation_is_far_cheaper_than_synthesis() {
     let device = Device::virtex6_xc6vlx760();
-    let flow = IslFlow::from_algorithm(&gaussian_igf()).unwrap();
+    let session = IslSession::from_algorithm(&gaussian_igf()).unwrap();
     let windows: Vec<Window> = (1..=8).map(Window::square).collect();
-    let v = flow
+    let v = session
         .validate_area_model(&device, &windows, &[1, 2, 3, 4, 5], 2)
         .unwrap();
     assert!(
@@ -58,10 +58,11 @@ fn estimation_is_far_cheaper_than_synthesis() {
 #[test]
 fn divisor_depths_beat_non_divisors() {
     let device = Device::virtex6_xc6vlx760();
-    let flow = IslFlow::from_algorithm(&gaussian_igf()).unwrap();
-    let w = flow.workload(1024, 768);
+    let session = IslSession::from_algorithm(&gaussian_igf()).unwrap();
+    let w = session.workload(1024, 768);
     let fps = |d: u32| {
-        flow.best_on_device(&device, Window::square(7), d, w)
+        session
+            .best_on_device(&device, Window::square(7), d, w)
             .map(|r| r.fps)
             .unwrap_or(0.0)
     };
@@ -76,13 +77,16 @@ fn divisor_depths_beat_non_divisors() {
 #[test]
 fn igf_throughput_in_paper_range() {
     let device = Device::virtex6_xc6vlx760();
-    let flow = IslFlow::from_algorithm(&gaussian_igf()).unwrap();
+    let session = IslSession::from_algorithm(&gaussian_igf()).unwrap();
     let mut best = 0.0f64;
     for side in 4..=9 {
         for depth in [1, 2, 5] {
-            if let Ok(r) =
-                flow.best_on_device(&device, Window::square(side), depth, flow.workload(1024, 768))
-            {
+            if let Ok(r) = session.best_on_device(
+                &device,
+                Window::square(side),
+                depth,
+                session.workload(1024, 768),
+            ) {
                 best = best.max(r.fps);
             }
         }
@@ -99,9 +103,9 @@ fn igf_throughput_in_paper_range() {
 #[test]
 fn chambolle_is_the_heavy_case_study() {
     let device = Device::virtex6_xc6vlx760();
-    let igf = IslFlow::from_algorithm(&gaussian_igf()).unwrap();
-    let cham = IslFlow::from_algorithm(&chambolle()).unwrap();
-    let w = |f: &IslFlow| f.workload(1024, 768);
+    let igf = IslSession::from_algorithm(&gaussian_igf()).unwrap();
+    let cham = IslSession::from_algorithm(&chambolle()).unwrap();
+    let w = |f: &IslSession| f.workload(1024, 768);
 
     // Same window/depth: Chambolle is far slower.
     let igf_fps = igf
@@ -126,9 +130,9 @@ fn chambolle_is_the_heavy_case_study() {
 #[test]
 fn commercial_hls_fails_and_crawls() {
     let device = Device::virtex6_xc6vlx760();
-    let flow = IslFlow::from_algorithm(&gaussian_igf()).unwrap();
+    let session = IslSession::from_algorithm(&gaussian_igf()).unwrap();
     let tool = CommercialHls::new(&device);
-    let (best, failures, _) = tool.explore(flow.pattern(), flow.workload(1024, 768));
+    let (best, failures, _) = tool.explore(session.pattern(), session.workload(1024, 768));
     let best = best.unwrap();
 
     // Sub-fps best (paper: 0.14 fps).
@@ -140,8 +144,8 @@ fn commercial_hls_fails_and_crawls() {
         .any(|(_, e)| matches!(e, HlsFailure::OutOfMemory { .. })));
 
     // Orders of magnitude vs the cone flow.
-    let cone_fps = flow
-        .best_on_device(&device, Window::square(8), 2, flow.workload(1024, 768))
+    let cone_fps = session
+        .best_on_device(&device, Window::square(8), 2, session.workload(1024, 768))
         .unwrap()
         .fps;
     assert!(
@@ -156,16 +160,20 @@ fn commercial_hls_fails_and_crawls() {
 #[test]
 fn cone_memory_is_frame_size_independent() {
     let device = Device::virtex6_xc6vlx760();
-    let flow = IslFlow::from_algorithm(&gaussian_igf()).unwrap();
+    let session = IslSession::from_algorithm(&gaussian_igf()).unwrap();
     let model = FrameBufferModel::new(&device);
 
-    let small = model.evaluate(flow.pattern(), flow.workload(256, 256)).unwrap();
-    let large = model.evaluate(flow.pattern(), flow.workload(1920, 1080)).unwrap();
+    let small = model
+        .evaluate(session.pattern(), session.workload(256, 256))
+        .unwrap();
+    let large = model
+        .evaluate(session.pattern(), session.workload(1920, 1080))
+        .unwrap();
     assert!(large.buffer_bytes_required > 30 * small.buffer_bytes_required);
     assert!(!large.fits_on_chip, "Full-HD ping-pong buffers must spill");
 
     // The cone's window buffer is identical for any frame size.
-    let cone = flow.build_cone(Window::square(8), 2).unwrap();
+    let cone = session.cone(Window::square(8), 2).unwrap();
     let window_elems = cone.inputs().len();
     assert!(window_elems < 400); // a few hundred elements, not megabytes
 }

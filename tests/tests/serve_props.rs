@@ -1,14 +1,15 @@
 //! The serving front-end: concurrent clients on one warm service,
 //! single-flight de-duplication of identical requests, warm restarts
 //! proven through the wire (`stats` op), not just through in-process
-//! counters, and bounded input: hostile lines are refused, not fatal.
+//! counters, and bounded input: hostile lines and oversized requests are
+//! refused, not fatal.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use isl_serve::{parse_response, Client, Op, Request, ServeConfig, Server};
+use isl_serve::{parse_response, Client, Op, Request, ServeConfig, ServeError, Server};
 
 fn state_dir(test: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -202,5 +203,34 @@ fn hostile_lines_are_refused_and_others_still_served() {
 
     other.ping().unwrap();
     assert!(other.stats("igf").is_ok());
+    handle.shutdown();
+}
+
+/// A certify over the frame-area cap and an explore over the design-space
+/// caps are each answered with an `err` line before anything is built, and
+/// the connection then answers a ping.
+#[test]
+fn oversized_requests_are_refused() {
+    let handle = Server::start(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let huge_frames = Request {
+        width: 100_000,
+        height: 100_000,
+        ..certify_request(1)
+    };
+    let huge_space = Request {
+        op: Op::Explore,
+        algo: "igf".into(),
+        max_side: 100_000,
+        ..Request::default()
+    };
+    for (request, field) in [(huge_frames, "frame area"), (huge_space, "max_side")] {
+        match client.request(request) {
+            Err(ServeError::Remote(e)) => assert!(e.contains(field), "{e}"),
+            other => panic!("over-limit {field} not refused: {other:?}"),
+        }
+        client.ping().unwrap();
+    }
+    assert_eq!(client.stats("igf").unwrap().build_misses(), 0);
     handle.shutdown();
 }

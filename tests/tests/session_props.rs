@@ -61,23 +61,93 @@ fn warm_pipeline_does_zero_redundant_work() {
     assert!(Arc::ptr_eq(cert1.certificate(), cert2.certificate()));
 }
 
-/// The deprecated façade and the staged API observe the same artifacts: a
-/// certificate produced through `IslFlow::verify_architecture` equals the
-/// session's stored one (and populates the same store).
+const BLUR: &str = r#"
+#pragma isl iterations 6
+#pragma isl border mirror
+void blur(const float in[H][W], float out[H][W]) {
+    for (int y = 0; y < H; y++)
+        for (int x = 0; x < W; x++)
+            out[y][x] = (in[y-1][x] + in[y+1][x] + in[y][x-1] + in[y][x+1]) * 0.25f;
+}
+"#;
+
+/// The kernel's `#pragma isl iterations` and `border` lines reach the spec.
 #[test]
-fn flow_shim_and_session_agree() {
-    let algo = isl_hls::algorithms::gaussian_igf();
-    let flow = IslFlow::from_algorithm(&algo).unwrap();
+fn source_to_flow() {
+    let session = IslSession::from_source(BLUR).unwrap();
+    assert_eq!(session.iterations(), 6);
+    assert_eq!(session.border(), BorderMode::Mirror);
+    assert_eq!(session.pattern().radius(), 1);
+}
+
+#[test]
+fn bad_source_reports_analysis_error() {
+    let err = IslSession::from_source("void f() {").unwrap_err();
+    assert!(matches!(err, FlowError::Analysis(_)), "{err}");
+}
+
+#[test]
+fn from_algorithm_wires_defaults() {
+    let algo = isl_hls::algorithms::chambolle();
+    let session = IslSession::from_algorithm(&algo).unwrap();
+    assert_eq!(session.iterations(), algo.default_iterations);
+    assert_eq!(session.pattern().dynamic_fields().len(), 2);
+    assert_eq!(session.pattern().params().len(), 2);
+}
+
+/// Exploration calibrates for the workload's iteration count, not the
+/// spec's: the pragma says 6, the workload says 4, so depth-3 cones need a
+/// remainder level the spec's own run does not have.
+#[test]
+fn explore_follows_workload_iterations() {
+    let session = IslSession::from_source(BLUR).unwrap();
     let device = Device::virtex6_xc6vlx760();
-    let space = DesignSpace::new(2..=4, 1..=2, 2);
-    let explored = flow
-        .explore(&device, flow.workload(24, 16), &space)
+    let space = DesignSpace::new(2..=3, 3..=3, 2);
+    let workload = Workload::image(64, 48, 4);
+    let explored = session.explore(&device, workload, &space).unwrap();
+    assert!(!explored.points().is_empty());
+    let four = session.clone().with_iterations(4);
+    assert_eq!(
+        explored.points(),
+        four.explore(&device, workload, &space).unwrap().points()
+    );
+}
+
+/// The DSE → simulation loop: the fastest explored instance, executed
+/// window by window at its depth, equals the golden whole-frame run.
+#[test]
+fn explored_architecture_simulates_to_golden() {
+    let session = IslSession::from_source(BLUR).unwrap();
+    let device = Device::virtex6_xc6vlx760();
+    let space = DesignSpace::new(2..=4, 1..=3, 2);
+    let explored = session
+        .explore(&device, session.workload(64, 48), &space)
         .unwrap();
     let best = explored.fastest().unwrap();
-    let init = FrameSet::from_frames(vec![synthetic::noise(24, 16, 9)]).unwrap();
-    let by_flow = flow.verify_architecture(&init, best.arch).unwrap();
-    let by_session = flow.session().certify(&init, best.arch).unwrap();
-    assert_eq!(&by_flow, &**by_session.certificate());
+    let init = FrameSet::from_frames(vec![synthetic::noise(64, 48, 11)]).unwrap();
+    let by_arch = session.run_architecture(&init, best.arch).unwrap();
+    let golden = session
+        .simulator()
+        .unwrap()
+        .run(&init, session.iterations())
+        .unwrap();
+    assert_eq!(by_arch, golden);
+}
+
+/// Packing the device with as many cores as fit is never slower than a
+/// fixed core count.
+#[test]
+fn throughput_through_flow() {
+    let session = IslSession::from_source(BLUR).unwrap();
+    let device = Device::virtex6_xc6vlx760();
+    let workload = session.workload(256, 192);
+    let arch = Architecture::new(Window::square(3), 2, 2);
+    let r = session.throughput(&device, arch, workload).unwrap();
+    assert!(r.fps > 0.0);
+    let best = session
+        .best_on_device(&device, Window::square(3), 2, workload)
+        .unwrap();
+    assert!(best.fps >= r.fps);
 }
 
 /// Certified bundles ship the golden vectors: the vector files of the

@@ -11,10 +11,10 @@ use isl_hls::vhdl::{
 #[test]
 fn generated_vhdl_is_structurally_valid_across_the_library() {
     for algo in all() {
-        let flow = IslFlow::from_algorithm(&algo).unwrap();
+        let session = IslSession::from_algorithm(&algo).unwrap();
         for (side, depth) in [(1u32, 1u32), (2, 1), (3, 2), (2, 3)] {
-            let depth = depth.min(flow.iterations());
-            let cone = flow.build_cone(Window::square(side), depth).unwrap();
+            let depth = depth.min(session.iterations());
+            let cone = session.cone(Window::square(side), depth).unwrap();
             let module = generate_cone(&cone, &VhdlOptions::default());
             let s = check::validate(&module.code).unwrap_or_else(|e| {
                 panic!("{} w{side} d{depth}: {e}\n{}", algo.name, module.code)
@@ -28,9 +28,9 @@ fn generated_vhdl_is_structurally_valid_across_the_library() {
 #[test]
 fn port_counts_match_cone_interface() {
     for algo in all() {
-        let flow = IslFlow::from_algorithm(&algo).unwrap();
-        let depth = flow.iterations().min(2);
-        let cone = flow.build_cone(Window::square(2), depth).unwrap();
+        let session = IslSession::from_algorithm(&algo).unwrap();
+        let depth = session.iterations().min(2);
+        let cone = session.cone(Window::square(2), depth).unwrap();
         let module = generate_cone(&cone, &VhdlOptions::default());
         let data_in = module
             .ports
@@ -46,7 +46,7 @@ fn port_counts_match_cone_interface() {
                 !p.is_control && p.direction == isl_hls::vhdl::PortDirection::Out
             })
             .count();
-        let params = flow.pattern().params().len();
+        let params = session.pattern().params().len();
         assert_eq!(
             data_in,
             cone.inputs().len() + cone.static_inputs().len() + params,
@@ -60,9 +60,9 @@ fn port_counts_match_cone_interface() {
 #[test]
 fn testbenches_assert_every_output() {
     for algo in all() {
-        let flow = IslFlow::from_algorithm(&algo).unwrap();
-        let depth = flow.iterations().min(2);
-        let cone = flow.build_cone(Window::square(2), depth).unwrap();
+        let session = IslSession::from_algorithm(&algo).unwrap();
+        let depth = session.iterations().min(2);
+        let cone = session.cone(Window::square(2), depth).unwrap();
         let module = generate_cone(&cone, &VhdlOptions::default());
         let tb = generate_testbench(&cone, &module, FixedFormat::default());
         assert_eq!(
@@ -78,9 +78,9 @@ fn testbenches_assert_every_output() {
 #[test]
 fn tile_wrappers_validate_across_the_library() {
     for algo in all() {
-        let flow = IslFlow::from_algorithm(&algo).unwrap();
-        let depth = flow.iterations().min(2);
-        let cone = flow.build_cone(Window::square(2), depth).unwrap();
+        let session = IslSession::from_algorithm(&algo).unwrap();
+        let depth = session.iterations().min(2);
+        let cone = session.cone(Window::square(2), depth).unwrap();
         let module = generate_cone(&cone, &VhdlOptions::default());
         let wrapper = generate_wrapper(&cone, &module);
         validate_wrapper(&wrapper, &module)
@@ -96,8 +96,8 @@ fn tile_wrappers_validate_across_the_library() {
 
 #[test]
 fn pipeline_depth_equals_valid_chain_length() {
-    let flow = IslFlow::from_algorithm(&isl_hls::algorithms::chambolle()).unwrap();
-    let cone = flow.build_cone(Window::square(2), 2).unwrap();
+    let session = IslSession::from_algorithm(&isl_hls::algorithms::chambolle()).unwrap();
+    let cone = session.cone(Window::square(2), 2).unwrap();
     let module = generate_cone(&cone, &VhdlOptions::default());
     assert!(module
         .code
@@ -116,8 +116,8 @@ void chainy(const float in[N], float out[N]) {
         out[i] = ((in[i] * 0.5f) * 0.5f) * 0.5f;
 }
 "#;
-    let flow = IslFlow::from_source(src).unwrap();
-    let cone = flow.build_cone(Window::line(1), 1).unwrap();
+    let session = IslSession::from_source(src).unwrap();
+    let cone = session.cone(Window::line(1), 1).unwrap();
     let module = generate_cone(&cone, &VhdlOptions::default());
     assert_eq!(module.delay_registers, 0, "{}", module.code);
     check::validate(&module.code).unwrap();
