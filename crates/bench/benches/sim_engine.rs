@@ -34,7 +34,7 @@ use isl_hls::cosim::{CoSimulator, MaskSchedule};
 use isl_hls::ir::Cone;
 use isl_hls::prelude::*;
 use isl_hls::sim::synthetic;
-use isl_hls::sim::{CompiledCone, Quantizer};
+use isl_hls::sim::CompiledCone;
 
 const SIZE: usize = 256;
 const ITERS: u32 = 10;
@@ -214,7 +214,7 @@ fn main() {
         // Quantised semantics (the raw-word fixed-point datapath of the
         // generated hardware): interpreted vs compiled, through all three
         // execution paths.
-        let q = Quantizer::q18_10();
+        let q = FixedFormat::default();
         let row = measure(
             format!("quantized_{}", case.name),
             |s| s.run_quantized_reference(&case.init, ITERS, q).expect("runs"),
@@ -295,7 +295,7 @@ fn main() {
         ]
     };
     let mut frame_rows: Vec<String> = Vec::new();
-    let q = Quantizer::q18_10();
+    let q = FixedFormat::default();
     // Both case-study patterns run at every production shape; fast mode
     // keeps the single-field gaussian smoke case only.
     let frame_cases: Vec<&Case> = if fast { vec![&cases[0]] } else { cases.iter().collect() };

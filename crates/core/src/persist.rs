@@ -33,9 +33,11 @@ use crate::store::{CalibrationKey, RefKey, RunKey, SearchKey};
 
 /// Version of the artifact codecs in this module, fed to
 /// [`isl_persist::DiskStore::open`] as the `app_version`. **Bump on any
-/// encoding change** — stale files are then invalidated wholesale instead
-/// of half-decoded.
-pub const ARTIFACT_CODEC_VERSION: u64 = 1;
+/// encoding change**, and when a stored field changes meaning — stale
+/// files are then invalidated wholesale instead of half-decoded or served
+/// stale. Version 2: `ArchitectureCertificate::quantized_elements` counts
+/// the elements of one certified run, not two engine pairs.
+pub const ARTIFACT_CODEC_VERSION: u64 = 2;
 
 const KIND_CALIBRATION: u8 = 1;
 const KIND_VECTORS: u8 = 2;

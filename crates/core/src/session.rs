@@ -35,11 +35,12 @@ use isl_estimate::{
 use isl_fpga::{Device, FixedFormat, SynthOptions, Synthesizer};
 use isl_ir::{Cone, StencilPattern, Window};
 use isl_sim::parallel::par_map;
-use isl_sim::{level_depths, BorderMode, FrameSet, Quantizer, Simulator};
+use isl_sim::{level_depths, BorderMode, FrameSet, SimError, Simulator};
 use isl_symexec::compile_str;
+use isl_vhdl::check::{balance_only, verify_vectors};
 use isl_vhdl::{
-    check::verify_vectors, fixed_package, generate_cone, generate_testbench,
-    generate_vector_testbench, generate_wrapper, VectorFile, VectorLayout, VhdlOptions,
+    fixed_package, generate_cone, generate_testbench, generate_vector_testbench, generate_wrapper,
+    VectorFile, VectorLayout, VhdlOptions,
 };
 
 use crate::error::{FlowError, Stage};
@@ -182,8 +183,8 @@ pub struct ArchitectureCertificate {
     pub iterations: u32,
     /// Fixed-point format of the datapath.
     pub format: FixedFormat,
-    /// Frame elements compared bit-for-bit across the quantised compiled /
-    /// reference engine pairs (tiled + cone-DAG).
+    /// Frame elements of the certified quantised cone-DAG run (fields ×
+    /// width × height), whose error metrics the certificate reports.
     pub quantized_elements: usize,
     /// Golden-vector files, one per distinct cone shape of the
     /// decomposition — every firing of the run, certified mismatch-free.
@@ -635,8 +636,9 @@ impl IslSession {
     }
 
     /// Assemble a bundle for `cone`, shipping `vectors` (entity code is
-    /// generated for vector shapes that differ from the main cone). Vector
-    /// files without stimulus ports (constant-only cones — certified
+    /// generated for vector shapes that differ from the main cone), each
+    /// with a vector testbench that must pass the block-balance check.
+    /// Vector files without stimulus ports (constant-only cones — certified
     /// word-for-word but with nothing for a testbench to drive) are the
     /// only ones skipped; every other failure propagates.
     fn bundle_of(&self, cone: &Cone, vectors: &[VectorFile]) -> Result<VhdlBundle, FlowError> {
@@ -644,6 +646,9 @@ impl IslSession {
         let module = generate_cone(cone, &VhdlOptions { format: fmt });
         let testbench = generate_testbench(cone, &module, fmt);
         let wrapper = generate_wrapper(cone, &module);
+        let invalid = |e: &dyn std::fmt::Display| {
+            FlowError::Verification(e.to_string()).at(Stage::Synthesize, None)
+        };
         let mut sets = Vec::new();
         for file in vectors {
             if file.ports_in.is_empty() {
@@ -653,8 +658,8 @@ impl IslSession {
             // cones come from the store (already built by certify).
             let vcone = self.cone_at(Stage::Synthesize, file.window, file.depth)?;
             let vmodule = generate_cone(&vcone, &VhdlOptions { format: fmt });
-            let tb = generate_vector_testbench(&vmodule, file)
-                .map_err(|e| FlowError::Verification(e.to_string()).at(Stage::Synthesize, None))?;
+            let tb = generate_vector_testbench(&vmodule, file).map_err(|e| invalid(&e))?;
+            balance_only(&tb).map_err(|e| invalid(&e))?;
             sets.push(VectorSet {
                 entity: (vmodule.entity_name != module.entity_name).then_some(vmodule.code),
                 entity_name: vmodule.entity_name,
@@ -673,27 +678,6 @@ impl IslSession {
             testbench,
             vectors: sets,
         })
-    }
-
-    // -- simulation ----------------------------------------------------------
-
-    /// Run this ISL's full iteration count on `init` through the compiled
-    /// tiled engine with the exact window/depth decomposition of `arch` —
-    /// i.e. simulate what the explored architecture instance computes.
-    /// Bit-identical to the golden run for local border modes.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::Simulation`] for unsupported ranks, non-local borders,
-    /// or mismatched frame sets.
-    pub fn run_architecture(
-        &self,
-        init: &FrameSet,
-        arch: Architecture,
-    ) -> Result<FrameSet, FlowError> {
-        let sim = self.simulator()?;
-        sim.run_tiled(init, self.spec.iterations, arch.window, arch.depth)
-            .map_err(|e| FlowError::from(e).at(Stage::Simulate, None))
     }
 
     // -- estimation passthroughs ---------------------------------------------
@@ -757,22 +741,23 @@ impl IslSession {
     /// Stage 6 (**Certified**): certify an explored architecture instance
     /// end to end on `init`:
     ///
-    /// 1. the **compiled quantised tiled** run (fixed-point rounding after
-    ///    every operation, at `arch`'s exact window/depth decomposition) is
-    ///    checked bit-identical to the tree-walking quantised reference;
-    /// 2. the **compiled quantised cone-DAG** run — the hardware's actual
-    ///    multi-level datapath semantics, on raw fixed-point words —
-    ///    likewise; the same run records every cone firing (the
-    ///    border-resolved base-input words and every output word) as
-    ///    golden vectors;
-    /// 3. every golden vector must pass
+    /// 1. one **compiled quantised cone-DAG** run — the hardware's actual
+    ///    multi-level datapath semantics at `arch`'s exact window/depth
+    ///    decomposition, on raw fixed-point words — records every cone
+    ///    firing (the border-resolved base-input words and every output
+    ///    word) as golden vectors;
+    /// 2. every golden vector must pass
     ///    [`isl_vhdl::check::verify_vectors`] (independent re-derivation of
     ///    every response word by the raw-word graph interpreter) with zero
-    ///    mismatches, round-trip through its text form and drive a
-    ///    structurally valid vector-file testbench;
-    /// 4. the error metrics of the certificate are measured on that same
-    ///    cone-DAG run, against the whole-frame `f64` golden run and the
+    ///    mismatches;
+    /// 3. the error metrics of the certificate are measured on that same
+    ///    run, against the whole-frame `f64` golden run and the
     ///    exact-arithmetic run of the same decomposition.
+    ///
+    /// Engine equivalence (compiled engines against their tree walks) is
+    /// the property suites' and the differential fuzzer's contract, not
+    /// re-proved here; the vector testbenches are generated and checked
+    /// once, by [`Certified::synthesize`].
     ///
     /// The certificate (golden vectors included) is stored: repeating the
     /// call — from any thread, any clone of this session — serves the
@@ -782,7 +767,8 @@ impl IslSession {
     /// # Errors
     ///
     /// [`FlowError::Verification`] on any divergence;
-    /// [`FlowError::Simulation`] for unsupported ranks, non-local borders or
+    /// [`FlowError::Simulation`] for unsupported ranks, non-local (wrap)
+    /// borders, which the emitted hardware does not implement, or
     /// mismatched frame sets.
     pub fn certify(&self, init: &FrameSet, arch: Architecture) -> Result<Certified, FlowError> {
         let _span = isl_telemetry::span("stage", "Certified");
@@ -820,42 +806,16 @@ impl IslSession {
         vector_key: RunKey,
     ) -> Result<ArchitectureCertificate, FlowError> {
         let fmt = self.spec.synth_options.format;
-        let q = Quantizer::from(fmt);
         let sim = self.simulator()?;
-        let iters = self.spec.iterations;
+        // Wrap borders break tile locality (an edge tile reads the opposite
+        // edge), which the cone architecture cannot honour; the cone-DAG
+        // engine alone would run them, so the refusal is explicit.
+        if !self.spec.border.is_local() {
+            return Err(SimError::NonLocalBorder.into());
+        }
         let (window, depth) = (arch.window, arch.depth);
 
-        let bitwise = |a: &FrameSet, b: &FrameSet, what: &str| -> Result<usize, FlowError> {
-            let mut n = 0;
-            for fi in 0..a.len() {
-                for (i, (x, y)) in a
-                    .frame(fi)
-                    .as_slice()
-                    .iter()
-                    .zip(b.frame(fi).as_slice())
-                    .enumerate()
-                {
-                    if x.to_bits() != y.to_bits() {
-                        return Err(FlowError::Verification(format!(
-                            "{what}: field {fi} element {i}: compiled {x} vs reference {y}"
-                        )));
-                    }
-                    n += 1;
-                }
-            }
-            Ok(n)
-        };
-
-        // 1) Quantised tiled semantics, compiled vs golden tree walk; and
-        // the golden tree walk of the quantised cone-DAG semantics.
-        let span_q = isl_telemetry::span("certify", "quantised engine checks");
-        let tiled = sim.run_tiled_quantized(init, iters, window, depth, q)?;
-        let tiled_ref = sim.run_tiled_quantized_reference(init, iters, window, depth, q)?;
-        let mut quantized_elements = bitwise(&tiled, &tiled_ref, "quantised tiled")?;
-        let dag_ref = sim.run_cone_dag_quantized_reference(init, iters, window, depth, q)?;
-        drop(span_q);
-
-        // 2) The compiled quantised cone-DAG run — the hardware's actual
+        // 1) The compiled quantised cone-DAG run — the hardware's actual
         // datapath — recording every cone firing as golden vectors. The
         // vector set is itself a stored artifact (keyed without the core
         // count — vectors are per-decomposition), so certifying the same
@@ -865,15 +825,13 @@ impl IslSession {
         let (vector_files, recorded) = self.golden_vectors(&sim, init, vector_key)?;
         let dag = match recorded {
             Some(frames) => frames,
-            None => sim.run_cone_dag_quantized(init, iters, window, depth, q)?,
+            None => sim.run_cone_dag_quantized(init, self.spec.iterations, window, depth, fmt)?,
         };
         drop(span_g);
-        quantized_elements += bitwise(&dag, &dag_ref, "quantised cone-DAG")?;
 
-        // 3) Golden-vector certification: every response word re-derived
+        // 2) Golden-vector certification: every response word re-derived
         // from its stimulus by the independent raw-word graph interpreter
-        // (`verify_vectors` → `eval_fixed_raw`); the vector-file
-        // testbenches are generated and structurally checked along the way.
+        // (`verify_vectors` → `eval_fixed_raw`).
         let span_v = isl_telemetry::span("certify", "vector verify");
         let mut vector_records = 0;
         let mut vector_words = 0;
@@ -883,29 +841,10 @@ impl IslSession {
                 .map_err(|e| FlowError::Verification(e.to_string()))?;
             vector_records += report.records;
             vector_words += report.words;
-            // The exchange works end to end: the file round-trips through
-            // its text form and drives a structurally valid testbench.
-            let reparsed = VectorFile::parse(&file.to_text())
-                .map_err(|e| FlowError::Verification(e.to_string()))?;
-            if &reparsed != file {
-                return Err(FlowError::Verification(
-                    "vector file text round-trip diverged".into(),
-                ));
-            }
-            // A constant-only cone has no stimulus ports; its firings are
-            // still certified word-for-word above, but there is nothing for
-            // a replay testbench to drive.
-            if !file.ports_in.is_empty() {
-                let module = generate_cone(&cone, &VhdlOptions { format: fmt });
-                let tb = generate_vector_testbench(&module, file)
-                    .map_err(|e| FlowError::Verification(e.to_string()))?;
-                isl_vhdl::check::balance_only(&tb)
-                    .map_err(|e| FlowError::Verification(e.to_string()))?;
-            }
         }
         drop(span_v);
 
-        // Measured accuracy of the hardware datapath — the checked
+        // 3) Measured accuracy of the hardware datapath — the certified
         // cone-DAG run above — on two references: the whole-frame golden
         // run (end-to-end, includes the cone-base border semantics of the
         // decomposition) and the exact-arithmetic run of the *same*
@@ -919,9 +858,9 @@ impl IslSession {
 
         Ok(ArchitectureCertificate {
             arch,
-            iterations: iters,
+            iterations: self.spec.iterations,
             format: fmt,
-            quantized_elements,
+            quantized_elements: dag.len() * dag.width() * dag.height(),
             vector_files: (*vector_files).clone(),
             vector_records,
             vector_words,
@@ -1021,8 +960,8 @@ impl IslSession {
     /// bit-identically the `max/rms_quant_error` a full
     /// [`IslSession::certify`] records, since certification measures the
     /// same engine run. Only the chosen format is then certified in full
-    /// (quantised engines bitwise-checked, golden vectors generated and
-    /// verified word-for-word), so a cold search adds one certificate to
+    /// (its golden vectors recorded and verified word-for-word against the
+    /// independent oracle), so a cold search adds one certificate to
     /// the artifact store, or none when that format was already certified.
     /// Re-running the search warm (same budget) serves the stored outcome;
     /// re-running with a *different* budget re-runs the probes and
@@ -1114,7 +1053,7 @@ impl IslSession {
                 self.spec.iterations,
                 arch.window,
                 arch.depth,
-                Quantizer::from(fmt),
+                fmt,
             )?;
             let quant = isl_cosim::error_metrics(&refs.1, &fixed);
             Ok(FormatProbe {
@@ -1568,13 +1507,13 @@ pub struct ErrorBudget {
 }
 
 impl ErrorBudget {
-    /// The widest certifiable word. A signed 54-bit raw word has at most 53
-    /// significant bits, so it dequantises to `f64` exactly; beyond that,
-    /// distinct words can round to one `f64`. [`IslSession::certify`]
-    /// compares its compiled and tree-walk engine runs as dequantised `f64`
-    /// frames and measures its error metrics on them, so past 54 bits those
-    /// checks could miss a low-bit divergence and the metrics would be
-    /// measured on rounded values. Golden-vector verification is not the
+    /// The widest word a search may probe. A signed 54-bit raw word has at
+    /// most 53 significant bits, so it dequantises to `f64` exactly; beyond
+    /// that, distinct words can round to one `f64`. The error metrics of
+    /// [`IslSession::certify`] and of every probe are measured on
+    /// dequantised `f64` frames, so past 54 bits they would be measured on
+    /// rounded values; the cap also keeps the search outcomes of existing
+    /// budgets where they are. Golden-vector verification is not the
     /// limit: [`isl_vhdl::check::verify_vectors`] compares raw words
     /// through `eval_fixed_raw`, exact at every width up to 64.
     pub const MAX_WIDTH: u32 = 54;
@@ -1667,8 +1606,9 @@ pub struct FormatSearchOutcome {
     pub chosen_area_luts: u64,
     /// Every probed format with its measured errors, in probe order.
     pub probes: Vec<FormatProbe>,
-    /// The certificate of the chosen format (bitwise engine checks +
-    /// word-for-word golden vectors, like any [`IslSession::certify`]).
+    /// The certificate of the chosen format (golden vectors verified word
+    /// for word and error metrics of its cone-DAG run, like any
+    /// [`IslSession::certify`]).
     pub certificate: Arc<ArchitectureCertificate>,
 }
 

@@ -312,17 +312,22 @@ struct Shape<'f> {
 }
 
 impl<'f> Shape<'f> {
-    fn new(cosim: &CoSimulator<'_>, file: &'f VectorFile) -> Result<Self, CosimError> {
+    /// The shape of `file`, whose firings `cone` computes through `cc` (its
+    /// fold-free program).
+    fn new(
+        cosim: &CoSimulator<'_>,
+        file: &'f VectorFile,
+        cone: &Cone,
+        cc: CompiledCone,
+    ) -> Result<Self, CosimError> {
         let fmt = cosim.format();
-        let cone = Cone::build(cosim.pattern(), file.window, file.depth)?;
-        verify_vectors(&cone, fmt, file).map_err(|e| match e {
+        verify_vectors(cone, fmt, file).map_err(|e| match e {
             VectorCheckError::Incompatible(m) => CosimError::Incompatible(m),
             mismatch @ VectorCheckError::Mismatch(_) => CosimError::Sim(format!(
                 "golden vectors of `{}` fail verification: {mismatch}",
                 file.entity
             )),
         })?;
-        let cc = CompiledCone::compile_with(&cone, &cosim.params, false);
         let len = cc.len();
 
         let mut def = vec![0u32; cc.slots().max(1)];
@@ -507,7 +512,8 @@ impl CoSimulator<'_> {
     /// Run a full fault-injection campaign over the cone-architecture
     /// decomposition `(window, depth)` on `init`: record the clean run's
     /// [golden vectors](CoSimulator::golden_vectors), then
-    /// [sweep](CoSimulator::fault_sweep) them.
+    /// [sweep](CoSimulator::fault_sweep) them with the cones and programs
+    /// the recording built.
     ///
     /// # Errors
     ///
@@ -521,8 +527,12 @@ impl CoSimulator<'_> {
         depth: u32,
         schedule: &MaskSchedule,
     ) -> Result<FaultCoverageReport, CosimError> {
-        let files = self.golden_vectors(init, iterations, window, depth)?;
-        self.fault_sweep(&files, iterations, window, depth, schedule)
+        let (files, built): (Vec<_>, Vec<_>) = self
+            .record(init, iterations, window, depth)?
+            .into_iter()
+            .map(|s| (s.file, (s.cone, s.cc)))
+            .unzip();
+        self.sweep(&files, built, iterations, window, depth, schedule)
     }
 
     /// Inject every model of `schedule` at **every instruction** of the
@@ -551,6 +561,28 @@ impl CoSimulator<'_> {
         depth: u32,
         schedule: &MaskSchedule,
     ) -> Result<FaultCoverageReport, CosimError> {
+        let built = files
+            .iter()
+            .map(|file| {
+                let cone = Cone::build(self.pattern(), file.window, file.depth)?;
+                let cc = CompiledCone::compile_with(&cone, &self.params, false);
+                Ok((cone, cc))
+            })
+            .collect::<Result<Vec<_>, CosimError>>()?;
+        self.sweep(files, built, iterations, window, depth, schedule)
+    }
+
+    /// [`CoSimulator::fault_sweep`] over `files`, each with the cone and
+    /// fold-free program that computes its firings.
+    fn sweep(
+        &self,
+        files: &[VectorFile],
+        built: Vec<(Cone, CompiledCone)>,
+        iterations: u32,
+        window: Window,
+        depth: u32,
+        schedule: &MaskSchedule,
+    ) -> Result<FaultCoverageReport, CosimError> {
         let _span = isl_telemetry::span("cosim", "fault campaign");
         if self.fault.is_some() {
             return Err(CosimError::Sim(
@@ -564,7 +596,8 @@ impl CoSimulator<'_> {
         let fmt = self.format();
         let shapes = files
             .iter()
-            .map(|file| Shape::new(self, file))
+            .zip(built)
+            .map(|(file, (cone, cc))| Shape::new(self, file, &cone, cc))
             .collect::<Result<Vec<_>, _>>()?;
 
         let mut report = FaultCoverageReport {

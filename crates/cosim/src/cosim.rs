@@ -282,9 +282,23 @@ impl<'p> CoSimulator<'p> {
         window: Window,
         depth: u32,
     ) -> Result<Vec<VectorFile>, CosimError> {
+        let shapes = self.record(init, iterations, window, depth)?;
+        Ok(shapes.into_iter().map(|s| s.file).collect())
+    }
+
+    /// [`CoSimulator::golden_vectors`] with the cone and the program that
+    /// recorded each file, for a fault campaign to sweep without building
+    /// them again.
+    pub(crate) fn record(
+        &self,
+        init: &FrameSet,
+        iterations: u32,
+        window: Window,
+        depth: u32,
+    ) -> Result<Vec<RecordedShape>, CosimError> {
         let _span = isl_telemetry::span("cosim", "golden vectors");
-        let (_, files) = self.cone_levels_impl(init, iterations, window, depth, true)?;
-        Ok(files)
+        let (_, shapes) = self.cone_levels_impl(init, iterations, window, depth, true)?;
+        Ok(shapes)
     }
 
     fn cone_levels_impl(
@@ -294,7 +308,7 @@ impl<'p> CoSimulator<'p> {
         window: Window,
         depth: u32,
         record: bool,
-    ) -> Result<(IntFrameSet, Vec<VectorFile>), CosimError> {
+    ) -> Result<(IntFrameSet, Vec<RecordedShape>), CosimError> {
         self.check(init)?;
         if depth == 0 {
             return Err(CosimError::Cone("cone depth must be at least 1".into()));
@@ -360,7 +374,22 @@ impl<'p> CoSimulator<'p> {
             }
             state = next;
         }
-        let files = shapes.into_iter().map(|(_, s)| s.layout.into_file()).collect();
-        Ok((state, files))
+        let shapes = shapes
+            .into_iter()
+            .map(|(_, s)| RecordedShape {
+                cone: s.cone,
+                cc: s.cc,
+                file: s.layout.into_file(),
+            })
+            .collect();
+        Ok((state, shapes))
     }
+}
+
+/// One cone shape of a recorded run: the cone, its fold-free program and
+/// the golden vectors of its firings.
+pub(crate) struct RecordedShape {
+    pub(crate) cone: Cone,
+    pub(crate) cc: CompiledCone,
+    pub(crate) file: VectorFile,
 }

@@ -39,10 +39,12 @@
 //!
 //! ## Who runs the scalar VM
 //!
-//! Certification does not: `IslSession::certify` takes its golden vectors
-//! and error metrics from the quantised cone-DAG lane engine of `isl-sim`
+//! Certification does not: `IslSession::certify` makes one run of the
+//! quantised cone-DAG lane engine of `isl-sim`
 //! (`Simulator::record_cone_dag_quantized`), which executes the same
-//! datapath on structure-of-arrays lanes. The scalar VM serves the jobs
+//! datapath on structure-of-arrays lanes, takes its golden vectors and
+//! error metrics from that run, and certifies every vector word with
+//! [`isl_vhdl::check::verify_vectors`]. The scalar VM serves the jobs
 //! that need one firing at a time: fault campaigns, which run it once per
 //! record for the clean per-instruction traces and never once per fault,
 //! and the independent leg of the differential fuzzer, which compares its
@@ -57,11 +59,10 @@
 //! saturate adds, truncate multiplies/divides after widening, comparisons
 //! produce fixed-point `1.0`, selects forward words untouched. The
 //! quantised engines of `isl-sim` (`run_quantized`, `run_tiled_quantized`,
-//! `run_cone_dag_quantized`) run the same contract over lanes of raw
-//! words; this crate runs it scalar-wise, so each side checks the other
-//! bit for bit. The conversions [`quantizer_of`] / [`format_of`] (plus
-//! their lock-step property tests) keep `isl_sim::Quantizer` and
-//! `isl_fpga::FixedFormat` two views of the same definition.
+//! `run_cone_dag_quantized`) take the same
+//! [`FixedFormat`](isl_fpga::FixedFormat) and run the same contract over
+//! lanes of raw words; this crate runs it scalar-wise, so each side checks
+//! the other bit for bit.
 //!
 //! ```
 //! use isl_cosim::CoSimulator;
@@ -97,7 +98,6 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-mod convert;
 mod cosim;
 mod error;
 pub mod vm;
@@ -105,7 +105,6 @@ pub mod vm;
 pub use campaign::{
     DetectedFault, FaultCoverageReport, LevelDetections, MaskSchedule, ModelCoverage,
 };
-pub use convert::{format_of, quantizer_of};
 pub use cosim::{error_metrics, CoSimulator, ErrorMetrics, IntFrameSet};
 pub use error::CosimError;
 pub use vm::{eval_cone_raw, eval_cone_raw_traced, Fault, FaultModel};

@@ -89,10 +89,9 @@ impl FixedFormat {
     /// two's-complement value.
     ///
     /// **NaN contract:** a NaN input quantises to raw `0` (the hardware has
-    /// no NaN to propagate — zero is the deterministic, documented choice;
-    /// the simulator-side `isl_sim::Quantizer::apply` applies the same
-    /// rule). `±inf` saturates to the rails like any other out-of-range
-    /// value.
+    /// no NaN to propagate — zero is the deterministic, documented choice,
+    /// and [`FixedFormat::round_trip`] inherits it as `0.0`). `±inf`
+    /// saturates to the rails like any other out-of-range value.
     pub fn quantize(&self, v: f64) -> i64 {
         if v.is_nan() {
             return 0;

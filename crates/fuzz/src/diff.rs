@@ -27,7 +27,7 @@ use isl_cosim::CoSimulator;
 use isl_fpga::FixedFormat;
 use isl_ir::{Cone, Window};
 use isl_sim::harness::{run_f64, run_quantized, Engine, RunSpec, Semantics};
-use isl_sim::{synthetic, BorderMode, FrameSet, Quantizer, SimError, Simulator};
+use isl_sim::{synthetic, BorderMode, FrameSet, SimError, Simulator};
 use isl_vhdl::check::verify_vectors;
 use isl_vhdl::{VectorFile, VectorLayout};
 
@@ -300,7 +300,6 @@ pub fn run_differential(source: &str, cfg: &DiffConfig) -> DiffOutcome {
         .with_threads(1);
 
     let init = frames_for(&pattern, cfg.frame_w, frame_h, cfg.frame_seed);
-    let q = Quantizer::new(cfg.width, cfg.frac);
     let fmt = cfg.format();
     let local = cfg.border.is_local();
 
@@ -321,8 +320,8 @@ pub fn run_differential(source: &str, cfg: &DiffConfig) -> DiffOutcome {
         );
         checks += cross_check(
             &format!("quantized {} compiled vs reference", semantics.name()),
-            run_quantized(&sim, spec, Engine::Compiled, &init, q),
-            run_quantized(&sim, spec, Engine::Reference, &init, q),
+            run_quantized(&sim, spec, Engine::Compiled, &init, fmt),
+            run_quantized(&sim, spec, Engine::Reference, &init, fmt),
             &mut mismatches,
         );
         checks += cross_check(
@@ -347,8 +346,8 @@ pub fn run_differential(source: &str, cfg: &DiffConfig) -> DiffOutcome {
         );
         checks += cross_check(
             "quantized tiled vs whole-frame",
-            run_quantized(&sim, spec, Engine::Compiled, &init, q),
-            sim.run_quantized(&init, cfg.iterations, q),
+            run_quantized(&sim, spec, Engine::Compiled, &init, fmt),
+            sim.run_quantized(&init, cfg.iterations, fmt),
             &mut mismatches,
         );
     }
@@ -418,7 +417,7 @@ pub fn run_differential(source: &str, cfg: &DiffConfig) -> DiffOutcome {
                 .run_cone_levels(&init, cfg.iterations, window, cfg.depth)
                 .map(|int| int.dequantize(fmt))
                 .map_err(|e| SimError::Cone(e.to_string())),
-            sim.run_cone_dag_quantized(&init, cfg.iterations, window, cfg.depth, q)
+            sim.run_cone_dag_quantized(&init, cfg.iterations, window, cfg.depth, fmt)
                 .map_err(|e| SimError::Cone(e.to_string())),
             &mut mismatches,
         );

@@ -7,7 +7,8 @@
 //!                  [--width W] [--height H] [--seed S]
 //!                  [--max-side N] [--max-depth N] [--max-cores N]
 //!                  [--window N] [--depth N] [--cores N]
-//!                  [--max-abs X] [--max-width N]
+//!                  [--max-abs X] [--rms X] [--max-width N]
+//!                  [--timeout-ms 300000]
 //! ```
 //!
 //! * `serve` — run the service in the foreground until a client sends the
@@ -17,6 +18,10 @@
 //! * `call` — one request against a running service; prints the response
 //!   line's `result` JSON to stdout and exits non-zero on any error. Ops:
 //!   `ping`, `stats`, `explore`, `certify`, `search_format`, `shutdown`.
+//!
+//! Every option takes a value. An option the subcommand does not list
+//! above, an option without a value or given twice, and a stray argument
+//! print the usage and exit non-zero.
 
 #![forbid(unsafe_code)]
 
@@ -25,6 +30,13 @@ use std::time::Duration;
 
 use isl_serve::protocol::value_to_json;
 use isl_serve::{Client, Op, Request, ServeConfig, Server};
+
+const USAGE: &str = "usage:\n  isl-served serve [--addr A] [--state-dir D] [--timeout-ms N] [--batch-ms N] [--threads N]\n  isl-served call --addr A --op OP [request flags] [--timeout-ms N]";
+
+/// Each subcommand, one a line, with the options its doc block lists.
+const COMMANDS: &str = "serve --addr --state-dir --timeout-ms --batch-ms --threads
+call --addr --op --algo --device --width --height --seed --max-side --max-depth --max-cores \
+--window --depth --cores --max-abs --rms --max-width --timeout-ms";
 
 fn arg_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -46,26 +58,49 @@ fn parse_f64(args: &[String], name: &str, default: f64) -> Result<f64, String> {
     }
 }
 
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let cfg = ServeConfig {
-        addr: arg_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into()),
-        state_dir: arg_value(args, "--state-dir").map(Into::into),
-        request_timeout: Duration::from_millis(parse_u64(args, "--timeout-ms", 120_000)?),
-        batch_window: Duration::from_millis(parse_u64(args, "--batch-ms", 5)?),
-        threads: parse_u64(args, "--threads", 0)? as usize,
-    };
-    let state = cfg
-        .state_dir
-        .as_ref()
-        .map_or("memory only".to_string(), |d| d.display().to_string());
-    let handle = Server::start(cfg).map_err(|e| format!("bind: {e}"))?;
-    println!("isl-served listening on {} (state: {state})", handle.addr());
-    handle.join(); // until a client sends the shutdown op
-    println!("isl-served: drained and flushed, bye");
-    Ok(ExitCode::SUCCESS)
+/// A checked command line.
+enum Command {
+    Serve(ServeConfig),
+    Call {
+        addr: String,
+        request: Request,
+        timeout: Duration,
+    },
 }
 
-fn cmd_call(args: &[String]) -> Result<ExitCode, String> {
+/// Refuse what the subcommand would otherwise ignore — an option its doc
+/// block does not list, an option without a value or given twice, and a
+/// positional argument — then read the options.
+fn parse_args(argv: &[String]) -> Result<Command, String> {
+    let (cmd, args) = argv.split_first().ok_or("no command given")?;
+    let known: Vec<&str> = COMMANDS
+        .lines()
+        .map(|line| line.split(' ').collect::<Vec<_>>())
+        .find(|words| words[0] == cmd)
+        .ok_or_else(|| format!("unknown command `{cmd}`"))?;
+    let mut seen = Vec::new();
+    let mut words = args.iter();
+    while let Some(arg) = words.next() {
+        if !arg.starts_with("--") {
+            return Err(format!("`{cmd}` takes no argument `{arg}`"));
+        } else if !known[1..].contains(&arg.as_str()) {
+            return Err(format!("`{cmd}` has no option `{arg}`"));
+        } else if seen.contains(&arg) {
+            return Err(format!("option `{arg}` given twice"));
+        } else if words.next().is_none_or(|value| value.starts_with("--")) {
+            return Err(format!("option `{arg}` needs a value"));
+        }
+        seen.push(arg);
+    }
+    if cmd == "serve" {
+        return Ok(Command::Serve(ServeConfig {
+            addr: arg_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into()),
+            state_dir: arg_value(args, "--state-dir").map(Into::into),
+            request_timeout: Duration::from_millis(parse_u64(args, "--timeout-ms", 120_000)?),
+            batch_window: Duration::from_millis(parse_u64(args, "--batch-ms", 5)?),
+            threads: parse_u64(args, "--threads", 0)? as usize,
+        }));
+    }
     let addr = arg_value(args, "--addr").ok_or("call needs --addr HOST:PORT")?;
     let op = arg_value(args, "--op").ok_or("call needs --op")?;
     let op = Op::parse(&op).ok_or_else(|| format!("unknown op `{op}`"))?;
@@ -89,34 +124,107 @@ fn cmd_call(args: &[String]) -> Result<ExitCode, String> {
         max_width: parse_u64(args, "--max-width", u64::from(d.max_width))? as u32,
     };
     let timeout = Duration::from_millis(parse_u64(args, "--timeout-ms", 300_000)?);
-    let mut client = Client::connect(&addr)
+    Ok(Command::Call {
+        addr,
+        request,
+        timeout,
+    })
+}
+
+fn serve(cfg: ServeConfig) -> Result<(), String> {
+    let state = cfg
+        .state_dir
+        .as_ref()
+        .map_or("memory only".to_string(), |d| d.display().to_string());
+    let handle = Server::start(cfg).map_err(|e| format!("bind: {e}"))?;
+    println!("isl-served listening on {} (state: {state})", handle.addr());
+    handle.join(); // until a client sends the shutdown op
+    println!("isl-served: drained and flushed, bye");
+    Ok(())
+}
+
+fn call(addr: &str, request: Request, timeout: Duration) -> Result<(), String> {
+    let mut client = Client::connect(addr)
         .map_err(|e| format!("connect {addr}: {e}"))?
         .with_timeout(timeout)
         .map_err(|e| format!("timeout: {e}"))?;
     let value = client.request(request).map_err(|e| e.to_string())?;
     println!("{}", value_to_json(&value));
-    Ok(ExitCode::SUCCESS)
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  isl-served serve [--addr A] [--state-dir D] [--timeout-ms N] [--batch-ms N] [--threads N]\n  isl-served call --addr A --op OP [request flags]"
-    );
-    ExitCode::from(2)
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("call") => cmd_call(&args[1..]),
-        _ => return usage(),
+    let command = match parse_args(&args) {
+        Ok(command) => command,
+        Err(e) => {
+            eprintln!("isl-served: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let result = match command {
+        Command::Serve(cfg) => serve(cfg),
+        Command::Call {
+            addr,
+            request,
+            timeout,
+        } => call(&addr, request, timeout),
     };
     match result {
-        Ok(code) => code,
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("isl-served: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{parse_args, Command};
+
+    fn parse(line: &str) -> Result<Command, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn unknown_options_and_stray_arguments_are_refused() {
+        // The first two once ran on defaults and exited 0.
+        for line in [
+            "call --addr a:1 --op ping --bogus 1",
+            "call --addr a:1 --op explore --max-sides 100",
+            "serve --batch-ms 5 --rms 1",
+            "call --addr a:1 --op ping --seed",
+            "call --addr a:1 --op ping --seed --width 4",
+            "call --addr a:1 --addr b:2 --op ping",
+            "serve extra",
+            "call --addr a:1 ping",
+            "status",
+            "",
+        ] {
+            assert!(parse(line).is_err(), "`{line}` was accepted");
+        }
+        let Ok(Command::Call {
+            request, timeout, ..
+        }) = parse("call --addr a:1 --op search_format --rms 0.5 --timeout-ms 10")
+        else {
+            panic!("a listed call was refused");
+        };
+        assert_eq!((request.rms, timeout.as_millis()), (0.5, 10));
+    }
+
+    #[test]
+    fn ci_command_lines_are_accepted() {
+        let ci = include_str!("../../../../.github/workflows/ci.yml").replace("\\\n", " ");
+        let lines: Vec<&str> = ci
+            .lines()
+            .filter_map(|line| line.split_once("/isl-served "))
+            .map(|(_, args)| args.trim_end_matches([' ', '&', ')']))
+            .collect();
+        assert!(lines.len() >= 10, "{lines:?}");
+        for line in lines {
+            parse(line).unwrap_or_else(|e| panic!("`{line}` refused: {e}"));
         }
     }
 }

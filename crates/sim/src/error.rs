@@ -24,7 +24,8 @@ pub enum SimError {
         /// Values supplied.
         got: usize,
     },
-    /// The tiled executor cannot honour a non-local border mode.
+    /// A non-local border mode, which neither the tiled executor nor the
+    /// emitted cone architecture can honour.
     NonLocalBorder,
     /// The underlying pattern is invalid.
     Pattern(String),

@@ -9,8 +9,8 @@
 //! rule is fused into every instruction at compile time (saturating
 //! fixed-point add/sub, truncating widened mul/div — the exact
 //! `isl_fpga::FixedFormat` datapath the generated VHDL implements), so
-//! there is no per-op rounding hook and no way to run a program with the
-//! wrong quantiser.
+//! there is no per-op rounding hook and no way to run a program in the
+//! wrong format.
 
 use isl_fpga::FixedFormat;
 use isl_ir::{FieldId, FieldKind};
@@ -20,71 +20,11 @@ use crate::frame::FrameSet;
 use crate::qvm::{self, WordSet};
 use crate::sim::Simulator;
 
-/// A fixed-point rounding rule: signed, `width` total bits, `frac`
-/// fractional bits.
-///
-/// This is a thin wrapper around `isl_fpga::FixedFormat` — the *single*
-/// definition of the hardware's numeric behaviour across the workspace
-/// (the `isl-cosim` crate property-tests the agreement). [`Quantizer::apply`]
-/// is exactly `FixedFormat::round_trip`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Quantizer {
-    fmt: FixedFormat,
-}
-
-impl Quantizer {
-    /// Build a quantiser.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < width <= 64` and `frac < width`.
-    pub fn new(width: u32, frac: u32) -> Self {
-        Quantizer {
-            fmt: FixedFormat::new(width, frac),
-        }
-    }
-
-    /// The default hardware format (Q8.10 in 18 bits).
-    pub fn q18_10() -> Self {
-        Quantizer::new(18, 10)
-    }
-
-    /// Total bits, including sign.
-    pub fn width(&self) -> u32 {
-        self.fmt.width
-    }
-
-    /// Fractional bits.
-    pub fn frac(&self) -> u32 {
-        self.fmt.frac
-    }
-
-    /// The underlying hardware format.
-    pub fn format(&self) -> FixedFormat {
-        self.fmt
-    }
-
-    /// Quantisation step.
-    pub fn resolution(&self) -> f64 {
-        self.fmt.resolution()
-    }
-
-    /// Round-to-nearest with saturation, back in real units — exactly
-    /// `FixedFormat::round_trip` (NaN maps to `0.0`, the raw word 0).
-    ///
-    /// Lossy above 53 significant bits: this is the `f64`-domain view of
-    /// the format, for loading and inspecting frames. The engines
-    /// themselves never leave the raw word domain.
-    pub fn apply(&self, v: f64) -> f64 {
-        self.fmt.round_trip(v)
-    }
-}
-
-impl From<FixedFormat> for Quantizer {
-    fn from(fmt: FixedFormat) -> Self {
-        Quantizer { fmt }
-    }
-}
+/// The simulator's former name for [`FixedFormat`], kept only because the
+/// repository benchmark (`perfbench/`) still imports it and calls
+/// `Quantizer::from(fmt)`, which resolves to the reflexive `From` impl.
+/// Every quantised entry point takes a [`FixedFormat`]; new code names it.
+pub type Quantizer = FixedFormat;
 
 impl Simulator<'_> {
     /// Run `iterations` whole-frame steps in fixed point — the frame-scale
@@ -103,7 +43,7 @@ impl Simulator<'_> {
         &self,
         init: &FrameSet,
         iterations: u32,
-        q: Quantizer,
+        fmt: FixedFormat,
     ) -> Result<FrameSet, SimError> {
         if init.len() != self.pattern().fields().len() {
             return Err(SimError::FieldCountMismatch {
@@ -111,7 +51,6 @@ impl Simulator<'_> {
                 got: init.len(),
             });
         }
-        let fmt = q.format();
         let program =
             self.program_cache()
                 .quantized_pattern_program(self.pattern(), self.params(), fmt);
@@ -135,7 +74,7 @@ impl Simulator<'_> {
         &self,
         init: &FrameSet,
         iterations: u32,
-        q: Quantizer,
+        fmt: FixedFormat,
     ) -> Result<FrameSet, SimError> {
         if init.len() != self.pattern().fields().len() {
             return Err(SimError::FieldCountMismatch {
@@ -143,7 +82,6 @@ impl Simulator<'_> {
                 got: init.len(),
             });
         }
-        let fmt = q.format();
         let mut state = WordSet::quantize(init, fmt);
         for _ in 0..iterations {
             state = self.step_quantized_raw(&state, fmt);
@@ -212,11 +150,11 @@ mod tests {
 
     #[test]
     fn quantizer_rounds_and_saturates() {
-        let q = Quantizer::new(8, 4);
-        assert_eq!(q.apply(0.5), 0.5);
-        assert_eq!(q.apply(0.51), 0.5);
-        assert_eq!(q.apply(1000.0), 7.9375); // (2^7 - 1) / 16
-        assert_eq!(q.apply(-1000.0), -8.0);
+        let q = FixedFormat::new(8, 4);
+        assert_eq!(q.round_trip(0.5), 0.5);
+        assert_eq!(q.round_trip(0.51), 0.5);
+        assert_eq!(q.round_trip(1000.0), 7.9375); // (2^7 - 1) / 16
+        assert_eq!(q.round_trip(-1000.0), -8.0);
         assert_eq!(q.resolution(), 0.0625);
     }
 
@@ -226,11 +164,11 @@ mod tests {
         let sim = Simulator::new(&p).unwrap();
         let init = FrameSet::from_frames(vec![synthetic::noise(16, 12, 5)]).unwrap();
         let exact = sim.run(&init, 8).unwrap();
-        let fixed = sim.run_quantized(&init, 8, Quantizer::q18_10()).unwrap();
+        let fixed = sim.run_quantized(&init, 8, FixedFormat::default()).unwrap();
         // Averaging keeps per-iteration error near one LSB; 8 iterations of
         // a contraction accumulate only a small multiple of it.
         let diff = exact.max_abs_diff(&fixed);
-        assert!(diff < 32.0 * Quantizer::q18_10().resolution(), "diff {diff}");
+        assert!(diff < 32.0 * FixedFormat::default().resolution(), "diff {diff}");
     }
 
     #[test]
@@ -239,11 +177,11 @@ mod tests {
         let sim = Simulator::new(&p).unwrap().with_border(BorderMode::Mirror);
         let init = FrameSet::from_frames(vec![synthetic::noise(12, 12, 9)]).unwrap();
         let exact = sim.run(&init, 6).unwrap();
-        let err = |q: Quantizer| {
+        let err = |q: FixedFormat| {
             exact.max_abs_diff(&sim.run_quantized(&init, 6, q).unwrap())
         };
-        let coarse = err(Quantizer::new(12, 4));
-        let fine = err(Quantizer::new(24, 16));
+        let coarse = err(FixedFormat::new(12, 4));
+        let fine = err(FixedFormat::new(24, 16));
         assert!(fine < coarse, "{fine} !< {coarse}");
         assert!(fine < 1e-3);
     }
@@ -254,7 +192,7 @@ mod tests {
         for border in [BorderMode::Clamp, BorderMode::Mirror, BorderMode::Constant(0.5)] {
             let sim = Simulator::new(&p).unwrap().with_border(border);
             let init = FrameSet::from_frames(vec![synthetic::noise(19, 11, 3)]).unwrap();
-            let q = Quantizer::q18_10();
+            let q = FixedFormat::default();
             let a = sim.run_quantized(&init, 5, q).unwrap();
             let b = sim.run_quantized_reference(&init, 5, q).unwrap();
             for (x, y) in a.frame(0).as_slice().iter().zip(b.frame(0).as_slice()) {
@@ -273,7 +211,7 @@ mod tests {
         let init = FrameSet::from_frames(vec![Frame::from_samples(&[1.0, 2.0, 3.0, 4.0])])
             .unwrap();
         let exact = sim.run(&init, 3).unwrap();
-        let fixed = sim.run_quantized(&init, 3, Quantizer::q18_10()).unwrap();
+        let fixed = sim.run_quantized(&init, 3, FixedFormat::default()).unwrap();
         assert_eq!(exact.max_abs_diff(&fixed), 0.0);
     }
 }

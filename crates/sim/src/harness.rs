@@ -14,10 +14,10 @@
 //! local borders) are the repo's standing equivalence properties — the
 //! harness adds no semantics of its own.
 
+use isl_fpga::FixedFormat;
 use isl_ir::Window;
 
 use crate::error::SimError;
-use crate::fixed::Quantizer;
 use crate::frame::FrameSet;
 use crate::sim::Simulator;
 
@@ -116,18 +116,20 @@ pub fn run_quantized(
     spec: RunSpec,
     engine: Engine,
     init: &FrameSet,
-    q: Quantizer,
+    fmt: FixedFormat,
 ) -> Result<FrameSet, SimError> {
     let RunSpec { iterations: n, window: w, depth: d, .. } = spec;
     match (spec.semantics, engine) {
-        (Semantics::Whole, Engine::Reference) => sim.run_quantized_reference(init, n, q),
-        (Semantics::Whole, Engine::Compiled) => sim.run_quantized(init, n, q),
-        (Semantics::Tiled, Engine::Reference) => sim.run_tiled_quantized_reference(init, n, w, d, q),
-        (Semantics::Tiled, Engine::Compiled) => sim.run_tiled_quantized(init, n, w, d, q),
-        (Semantics::ConeDag, Engine::Reference) => {
-            sim.run_cone_dag_quantized_reference(init, n, w, d, q)
+        (Semantics::Whole, Engine::Reference) => sim.run_quantized_reference(init, n, fmt),
+        (Semantics::Whole, Engine::Compiled) => sim.run_quantized(init, n, fmt),
+        (Semantics::Tiled, Engine::Reference) => {
+            sim.run_tiled_quantized_reference(init, n, w, d, fmt)
         }
-        (Semantics::ConeDag, Engine::Compiled) => sim.run_cone_dag_quantized(init, n, w, d, q),
+        (Semantics::Tiled, Engine::Compiled) => sim.run_tiled_quantized(init, n, w, d, fmt),
+        (Semantics::ConeDag, Engine::Reference) => {
+            sim.run_cone_dag_quantized_reference(init, n, w, d, fmt)
+        }
+        (Semantics::ConeDag, Engine::Compiled) => sim.run_cone_dag_quantized(init, n, w, d, fmt),
     }
 }
 
@@ -169,7 +171,7 @@ mod tests {
         for (a, b) in via_harness.frames().iter().zip(direct.frames()) {
             assert_eq!(a.as_slice(), b.as_slice());
         }
-        let q = Quantizer::new(16, 8);
+        let q = FixedFormat::new(16, 8);
         let qa = run_quantized(&sim, spec, Engine::Reference, &init, q).unwrap();
         let qb = sim
             .run_tiled_quantized_reference(&init, 3, Window::square(4), 2, q)

@@ -9,14 +9,16 @@
 //!   explicit [`BorderMode`] resolution;
 //! * [`Simulator::run`] — the *golden* semantics: one whole frame per
 //!   iteration, exactly Algorithm 1 of the paper;
-//! * [`Simulator::run_tiled`] — the *cone architecture* semantics: the frame
-//!   is processed window by window through levels of depth-`d` cones, with
+//! * [`Simulator::run_tiled`] — the *tiled* semantics: the frame is
+//!   processed window by window through levels of depth-`d` cones, with
 //!   border handling applied at every level at absolute frame coordinates.
 //!   For clamp/mirror/constant borders this is **bit-identical** to the
-//!   golden run (tests enforce it);
+//!   golden run (tests enforce it). Neither the emitted VHDL nor
+//!   certification computes it; it stays as a test oracle;
 //! * [`Simulator::run_cone_dag`] — evaluates the actual hash-consed cone
-//!   DAGs (the thing the VHDL implements) per window; identical to golden on
-//!   the frame interior, and the hardware-faithful data path;
+//!   DAGs (the thing the VHDL implements) per window, borders resolved at
+//!   each cone's base only; identical to golden on the frame interior, and
+//!   the hardware-faithful data path;
 //! * [`Simulator::run_until_converged`] — fixed-point iteration for the
 //!   "potentially unbounded" ISL variant mentioned in Section 2;
 //! * [`synthetic`] — deterministic frame generators standing in for the
@@ -73,19 +75,23 @@
 //! [`Simulator::run_quantized`], [`Simulator::run_tiled_quantized`],
 //! [`Simulator::run_cone_dag_quantized`] — that runs entirely in the **raw
 //! word domain** of a hardware fixed-point format
-//! ([`Quantizer`] / [`isl_fpga::FixedFormat`]): frames are quantised once
-//! on entry, every instruction is a saturating integer operation
-//! (`i128`-widened truncating multiply/divide, saturating add/sub — exactly
-//! the datapath the generated VHDL implements), and words dequantise once
-//! on exit. Three design decisions make this both fast and trustworthy:
+//! ([`isl_fpga::FixedFormat`], which every quantised entry point takes):
+//! frames are quantised once on entry, every instruction is a saturating
+//! integer operation (`i128`-widened truncating multiply/divide, saturating
+//! add/sub — exactly the datapath the generated VHDL implements), and words
+//! dequantise once on exit. [`Simulator::record_cone_dag_quantized`] is
+//! the cone-DAG run that also records every cone firing: the one engine
+//! run `IslSession::certify` makes, whose golden vectors it verifies
+//! against an independent oracle. Three design decisions make this both
+//! fast and trustworthy:
 //!
 //! * **Rounding is fused at compile time.** [`compile`] lowers the pattern
 //!   (fold-free, so every node of the reference expression tree survives)
 //!   into a dedicated quantised program ([`QuantizedPattern`] /
 //!   [`QuantizedCone`]) whose instructions *are* the rounding rule — there
-//!   is no per-op `Option<Quantizer>` hook, so running a program with a
-//!   mismatched quantiser is unrepresentable, and the inner loops carry no
-//!   rounding branches.
+//!   is no per-op rounding hook, so running a program in a mismatched
+//!   format is unrepresentable, and the inner loops carry no rounding
+//!   branches.
 //! * **Lane kernels are shared with the hardware model.** The span-wise
 //!   saturating kernels (`FixedFormat::unary_span` / `binary_span` in
 //!   `isl-fpga`) are the *single* bit-true definition of the datapath:
@@ -109,6 +115,8 @@
 //! pattern, border mode, window shape, depth, fixed-point format and
 //! thread count (see `tests/tests/compiled_engine_props.rs`,
 //! `tests/tests/tiled_engine_props.rs` and `tests/tests/cosim_props.rs`).
+//! These suites and the differential fuzzer own engine equivalence;
+//! certification does not re-prove it.
 //!
 //! Measure the difference with `cargo bench -p isl-bench --bench sim_engine`,
 //! which compares interpreted vs compiled runs of all three semantics

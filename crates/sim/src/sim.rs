@@ -9,7 +9,6 @@ use isl_fpga::FixedFormat;
 use crate::border::BorderMode;
 use crate::compile::{CompiledCone, CompiledPattern, ProgramCache};
 use crate::error::SimError;
-use crate::fixed::Quantizer;
 use crate::frame::{Frame, FrameSet};
 use crate::qvm::{self, WordSet};
 use crate::vm;
@@ -423,7 +422,7 @@ impl<'p> Simulator<'p> {
     /// validated window by window at the exact decomposition the DSE chose.
     ///
     /// Executes on the quantised bytecode engine: levels are lowered
-    /// fold-free, quantised into `q`'s format at compile time, and run as
+    /// fold-free, quantised into `fmt` at compile time, and run as
     /// saturating lane kernels over raw words — bit-identical to
     /// [`Simulator::run_tiled_quantized_reference`], which tests enforce.
     ///
@@ -436,10 +435,9 @@ impl<'p> Simulator<'p> {
         iterations: u32,
         window: Window,
         depth: u32,
-        q: Quantizer,
+        fmt: FixedFormat,
     ) -> Result<FrameSet, SimError> {
         self.check_tiled(init, depth)?;
-        let fmt = q.format();
         let program = self
             .programs
             .quantized_pattern_program(self.pattern, &self.params, fmt);
@@ -476,10 +474,9 @@ impl<'p> Simulator<'p> {
         iterations: u32,
         window: Window,
         depth: u32,
-        q: Quantizer,
+        fmt: FixedFormat,
     ) -> Result<FrameSet, SimError> {
         self.check_tiled(init, depth)?;
-        let fmt = q.format();
         let mut state = WordSet::quantize(init, fmt);
         for d in level_depths(iterations, depth) {
             state = self.tiled_level_raw(&state, window, d, fmt)?;
@@ -864,9 +861,9 @@ impl<'p> Simulator<'p> {
         iterations: u32,
         window: Window,
         depth: u32,
-        q: Quantizer,
+        fmt: FixedFormat,
     ) -> Result<FrameSet, SimError> {
-        self.cone_dag_quantized(init, iterations, window, depth, q.format(), false)
+        self.cone_dag_quantized(init, iterations, window, depth, fmt, false)
             .map(|run| run.frames)
     }
 
@@ -975,13 +972,12 @@ impl<'p> Simulator<'p> {
         iterations: u32,
         window: Window,
         depth: u32,
-        q: Quantizer,
+        fmt: FixedFormat,
     ) -> Result<FrameSet, SimError> {
         self.check(init)?;
         if depth == 0 {
             return Err(SimError::Cone("cone depth must be at least 1".into()));
         }
-        let fmt = q.format();
         let mut state = WordSet::quantize(init, fmt);
         for d in level_depths(iterations, depth) {
             let cone = self.build_cone(window, d)?;

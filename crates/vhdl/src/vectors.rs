@@ -149,9 +149,9 @@ impl VectorFile {
                         .next()
                         .and_then(|s| s.parse().ok())
                         .ok_or_else(|| bad("format: missing frac"))?;
-                    // 63, not 64: every raw-word consumer (saturation,
-                    // quantisation, the simulator's Quantizer) works in
-                    // `i64` and needs `1 << (width - 1)` to be in range.
+                    // 63, not 64: a limit from before the raw-word
+                    // datapath widened its rails to `i128`; a 64-bit file
+                    // is still refused.
                     if w == 0 || w > 63 || f >= w {
                         return Err(bad(&format!("format: invalid Q format {w}/{f}")));
                     }

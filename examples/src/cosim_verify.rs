@@ -1,7 +1,7 @@
 //! Certify an explored architecture against the hardware datapath, end to
 //! end, through the staged API: DSE picks a (window, depth, cores)
-//! instance, `certify` proves the quantised engines bit-identical to their
-//! references and the golden vectors mismatch-free, and
+//! instance, `certify` records golden vectors from one quantised cone-DAG
+//! run and proves them mismatch-free against an independent oracle, and
 //! `Certified::synthesize` packages vectors + replay testbenches + VHDL
 //! into one directory where an external simulator run is one command.
 
@@ -24,14 +24,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         best.arch.window, best.arch.depth, best.arch.cores
     );
 
-    // Stage 6: certify — quantised engines bitwise + golden vectors
-    // word-for-word. The certificate (vectors included) lands in the
-    // session store.
+    // Stage 6: certify — one quantised cone-DAG run, its golden vectors
+    // verified word-for-word. The certificate (vectors included) lands in
+    // the session store.
     let init = FrameSet::from_frames(vec![synthetic::noise(48, 36, 7)])?;
     let certified = explored.certify_fastest(&init)?;
     let cert = certified.certificate();
     println!(
-        "== certified: {} quantised elements bit-identical, {} cone firings / {} words mismatch-free",
+        "== certified: {} quantised elements, {} cone firings / {} words mismatch-free",
         cert.quantized_elements, cert.vector_records, cert.vector_words
     );
     println!(

@@ -9,7 +9,6 @@ use isl_tests::prop::check;
 use isl_hls::ir::{BinaryOp, Expr, FieldKind, Offset, StencilPattern};
 use isl_hls::prelude::*;
 use isl_hls::sim::synthetic;
-use isl_hls::sim::Quantizer;
 
 /// The compiled engine equals `Expr::eval` bit-for-bit on random patterns,
 /// frames and borders, across an explicit worker-pool thread matrix.
@@ -76,14 +75,14 @@ fn quantized_engine_matches_reference_bitwise() {
         let pattern = arb_pattern(rng);
         let border = arb_border(rng);
         let (w, h) = (rng.usize_in(1, 16), rng.usize_in(1, 16));
-        let q = Quantizer::new(rng.u32_in(10, 30), rng.u32_in(4, 9));
+        let fmt = FixedFormat::new(rng.u32_in(10, 30), rng.u32_in(4, 9));
         let sim = Simulator::new(&pattern)
             .expect("valid pattern")
             .with_border(border);
         let init = frames_for(&pattern, w, h, rng.u64());
-        let compiled = sim.run_quantized(&init, 2, q).expect("compiled runs");
+        let compiled = sim.run_quantized(&init, 2, fmt).expect("compiled runs");
         let reference = sim
-            .run_quantized_reference(&init, 2, q)
+            .run_quantized_reference(&init, 2, fmt)
             .expect("reference runs");
         assert_bitwise_eq(&compiled, &reference, &format!("{w}x{h} border {border}"));
     });
@@ -91,10 +90,10 @@ fn quantized_engine_matches_reference_bitwise() {
         let (pattern, _) = algo.compile().expect("builtin compiles");
         let sim = Simulator::new(&pattern).expect("valid pattern");
         let init = frames_for(&pattern, 13, 11, 99);
-        let q = Quantizer::q18_10();
-        let compiled = sim.run_quantized(&init, 3, q).expect("compiled runs");
+        let fmt = FixedFormat::default();
+        let compiled = sim.run_quantized(&init, 3, fmt).expect("compiled runs");
         let reference = sim
-            .run_quantized_reference(&init, 3, q)
+            .run_quantized_reference(&init, 3, fmt)
             .expect("reference runs");
         assert_bitwise_eq(&compiled, &reference, algo.name);
     }

@@ -5,7 +5,9 @@
 //! 1. the **quantised compiled engines** (`run_tiled_quantized`,
 //!    `run_cone_dag_quantized`) against their tree-walking references, on
 //!    random patterns over every operator, borders, window shapes,
-//!    non-divisor depths and the worker-thread matrix `{1, 2, 4}`;
+//!    non-divisor depths and the worker-thread matrix `{1, 2, 4}`, and on
+//!    both case studies at the architecture DSE picks (the comparisons
+//!    `certify` does not repeat);
 //! 2. the **integer fixed-point VM** (`isl-cosim`) against the independent
 //!    fixed-point graph interpreter (`isl_fpga::eval_fixed`);
 //! 3. the **golden-vector exchange**: generated vectors certify cleanly,
@@ -28,23 +30,23 @@ use isl_tests::prop::{check, Rng};
 
 use isl_fuzz::{engine_vectors, WIDTH_LADDER};
 use isl_hls::cosim::{
-    error_metrics, eval_cone_raw, eval_cone_raw_traced, quantizer_of, CoSimulator, Fault,
-    FaultCoverageReport, MaskSchedule,
+    error_metrics, eval_cone_raw, eval_cone_raw_traced, CoSimulator, Fault, FaultCoverageReport,
+    MaskSchedule,
 };
 use isl_hls::fpga::{eval_fixed, FixedFormat};
 use isl_hls::ir::Cone;
 use isl_hls::prelude::*;
-use isl_hls::sim::{CompiledCone, Quantizer};
+use isl_hls::sim::CompiledCone;
 use isl_hls::vhdl::check::{verify_vectors, VectorCheckError};
 use isl_hls::vhdl::{generate_cone, generate_vector_testbench, VectorFile, VhdlOptions};
 use isl_hls::ArchitectureCertificate;
 
 const THREAD_MATRIX: [usize; 3] = [1, 2, 4];
 
-fn arb_quantizer(rng: &mut Rng) -> Quantizer {
+fn arb_format(rng: &mut Rng) -> FixedFormat {
     let width = rng.u32_in(10, 26);
     let frac = rng.u32_in(2, width - 4);
-    Quantizer::new(width, frac)
+    FixedFormat::new(width, frac)
 }
 
 /// Compiled quantised tiled execution equals the tree-walking quantised
@@ -60,12 +62,12 @@ fn quantized_tiled_matches_reference_bitwise() {
         let window = arb_window(rng);
         let depth = rng.u32_in(1, 4);
         let iters = rng.u32_in(1, 6);
-        let q = arb_quantizer(rng);
+        let fmt = arb_format(rng);
         let init = frames_for(&pattern, w, h, rng.u64());
         let reference = Simulator::new(&pattern)
             .expect("valid pattern")
             .with_border(border)
-            .run_tiled_quantized_reference(&init, iters, window, depth, q)
+            .run_tiled_quantized_reference(&init, iters, window, depth, fmt)
             .expect("reference runs");
         for threads in THREAD_MATRIX {
             let sim = Simulator::new(&pattern)
@@ -73,13 +75,13 @@ fn quantized_tiled_matches_reference_bitwise() {
                 .with_border(border)
                 .with_threads(threads);
             let tiled = sim
-                .run_tiled_quantized(&init, iters, window, depth, q)
+                .run_tiled_quantized(&init, iters, window, depth, fmt)
                 .expect("compiled quantised tiled runs");
             assert_bitwise_eq(
                 &tiled,
                 &reference,
                 &format!(
-                    "{w}x{h} border {border} window {window} depth {depth} iters {iters} q {q:?} threads {threads}"
+                    "{w}x{h} border {border} window {window} depth {depth} iters {iters} {fmt} threads {threads}"
                 ),
             );
         }
@@ -99,14 +101,14 @@ fn quantized_tiled_matches_quantized_whole_frame() {
         let window = arb_window(rng);
         let depth = rng.u32_in(1, 4);
         let iters = rng.u32_in(1, 5);
-        let q = arb_quantizer(rng);
+        let fmt = arb_format(rng);
         let init = frames_for(&pattern, w, h, rng.u64());
         let sim = Simulator::new(&pattern)
             .expect("valid pattern")
             .with_border(border);
-        let whole = sim.run_quantized(&init, iters, q).expect("whole-frame runs");
+        let whole = sim.run_quantized(&init, iters, fmt).expect("whole-frame runs");
         let tiled = sim
-            .run_tiled_quantized(&init, iters, window, depth, q)
+            .run_tiled_quantized(&init, iters, window, depth, fmt)
             .expect("tiled runs");
         assert_bitwise_eq(
             &tiled,
@@ -128,12 +130,12 @@ fn quantized_cone_dag_matches_reference_bitwise() {
         let window = arb_window(rng);
         let depth = rng.u32_in(1, 3);
         let iters = rng.u32_in(1, 5);
-        let q = arb_quantizer(rng);
+        let fmt = arb_format(rng);
         let init = frames_for(&pattern, w, h, rng.u64());
         let reference = Simulator::new(&pattern)
             .expect("valid pattern")
             .with_border(border)
-            .run_cone_dag_quantized_reference(&init, iters, window, depth, q)
+            .run_cone_dag_quantized_reference(&init, iters, window, depth, fmt)
             .expect("reference runs");
         for threads in THREAD_MATRIX {
             let sim = Simulator::new(&pattern)
@@ -141,7 +143,7 @@ fn quantized_cone_dag_matches_reference_bitwise() {
                 .with_border(border)
                 .with_threads(threads);
             let dag = sim
-                .run_cone_dag_quantized(&init, iters, window, depth, q)
+                .run_cone_dag_quantized(&init, iters, window, depth, fmt)
                 .expect("compiled quantised cone dag runs");
             assert_bitwise_eq(
                 &dag,
@@ -242,7 +244,6 @@ fn integer_run_tracks_quantized_run() {
     let algo = isl_hls::algorithms::gaussian_igf();
     let (pattern, _) = algo.compile().expect("builtin compiles");
     let fmt = FixedFormat::default();
-    let q = quantizer_of(fmt);
     let init = frames_for(&pattern, 16, 12, 99);
     let cosim = CoSimulator::new(&pattern, fmt).expect("co-simulator builds");
     let fixed = cosim
@@ -251,7 +252,7 @@ fn integer_run_tracks_quantized_run() {
         .dequantize(fmt);
     let quantized = Simulator::new(&pattern)
         .expect("valid")
-        .run_cone_dag_quantized(&init, 4, Window::square(4), 2, q)
+        .run_cone_dag_quantized(&init, 4, Window::square(4), 2, fmt)
         .expect("quantised run");
     assert_bitwise_eq(&fixed, &quantized, "cosim integer vs sim quantised");
 }
@@ -331,8 +332,10 @@ fn injected_fault_is_caught_and_triaged() {
 
 /// The flow-level acceptance gate: `IslSession::certify` certifies
 /// gaussian-IGF and chambolle at their DSE-chosen (window, depth)
-/// decompositions — quantised compiled paths bit-identical to references,
-/// golden vectors mismatch-free.
+/// decompositions with mismatch-free golden vectors, and on the certified
+/// frames the quantised compiled tiled and cone-DAG engines equal their
+/// tree walks bit for bit — the engine checks `certify` itself leaves to
+/// the property suites and the fuzzer.
 #[test]
 fn verify_architecture_certifies_igf_and_chambolle() {
     for algo in [
@@ -357,6 +360,24 @@ fn verify_architecture_certifies_igf_and_chambolle() {
         assert!(cert.vector_words > 0, "{}", algo.name);
         assert!(!cert.vector_files.is_empty(), "{}", algo.name);
         assert!(cert.max_fixed_error.is_finite(), "{}", algo.name);
+
+        let sim = session.simulator().expect("simulator");
+        let (fmt, iters) = (cert.format, cert.iterations);
+        let (window, depth) = (best.arch.window, best.arch.depth);
+        assert_bitwise_eq(
+            &sim.run_tiled_quantized(&init, iters, window, depth, fmt)
+                .expect("compiled tiled runs"),
+            &sim.run_tiled_quantized_reference(&init, iters, window, depth, fmt)
+                .expect("tiled reference runs"),
+            &format!("{} quantised tiled", algo.name),
+        );
+        assert_bitwise_eq(
+            &sim.run_cone_dag_quantized(&init, iters, window, depth, fmt)
+                .expect("compiled cone dag runs"),
+            &sim.run_cone_dag_quantized_reference(&init, iters, window, depth, fmt)
+                .expect("cone dag reference runs"),
+            &format!("{} quantised cone-DAG", algo.name),
+        );
     }
 }
 
@@ -468,8 +489,8 @@ fn certify_matches_cosim_assembled_certificate() {
             arch,
             iterations: iters,
             format: fmt,
-            // Tiled and cone-DAG compiled/reference pairs, every element.
-            quantized_elements: 2 * init.len() * 24 * 18,
+            // Every element of the one certified cone-DAG run.
+            quantized_elements: init.len() * 24 * 18,
             vector_files,
             vector_records,
             vector_words,

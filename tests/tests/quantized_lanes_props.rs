@@ -23,7 +23,6 @@ use isl_tests::prop::{check, Rng};
 use isl_hls::fpga::FixedFormat;
 use isl_hls::ir::{BinaryOp, UnaryOp};
 use isl_hls::prelude::*;
-use isl_hls::sim::Quantizer;
 
 const THREAD_MATRIX: [usize; 3] = [1, 2, 4];
 
@@ -166,24 +165,24 @@ fn quantized_whole_frame_matches_reference_across_width_ladder() {
             let (w, h) = (rng.usize_in(1, 20), rng.usize_in(1, 20));
             let iters = rng.u32_in(1, 5);
             let width = WIDTHS[rng.usize_in(0, WIDTHS.len() - 1)];
-            let q = Quantizer::from(fmt_for(rng, width));
+            let fmt = fmt_for(rng, width);
             let init = frames_for(&pattern, w, h, rng.u64());
             let reference = Simulator::new(&pattern)
                 .expect("valid pattern")
                 .with_border(border)
-                .run_quantized_reference(&init, iters, q)
+                .run_quantized_reference(&init, iters, fmt)
                 .expect("reference runs");
             for threads in THREAD_MATRIX {
                 let got = Simulator::new(&pattern)
                     .expect("valid pattern")
                     .with_border(border)
                     .with_threads(threads)
-                    .run_quantized(&init, iters, q)
+                    .run_quantized(&init, iters, fmt)
                     .expect("compiled quantised run");
                 assert_bitwise_eq(
                     &got,
                     &reference,
-                    &format!("{w}x{h} border {border} iters {iters} q {q:?} threads {threads}"),
+                    &format!("{w}x{h} border {border} iters {iters} {fmt} threads {threads}"),
                 );
             }
         },
@@ -207,26 +206,26 @@ fn quantized_tiled_and_cone_dag_match_reference_at_wide_widths() {
             let depth = rng.u32_in(1, 3);
             let iters = rng.u32_in(1, 4);
             let width = [54, 63, 64][rng.usize_in(0, 2)];
-            let q = Quantizer::from(fmt_for(rng, width));
+            let fmt = fmt_for(rng, width);
             let init = frames_for(&pattern, w, h, rng.u64());
             let sim = Simulator::new(&pattern)
                 .expect("valid pattern")
                 .with_border(border)
                 .with_threads(THREAD_MATRIX[rng.usize_in(0, THREAD_MATRIX.len() - 1)]);
             let what =
-                format!("{w}x{h} border {border} window {window} depth {depth} iters {iters} q {q:?}");
+                format!("{w}x{h} border {border} window {window} depth {depth} iters {iters} {fmt}");
             let tiled_ref = sim
-                .run_tiled_quantized_reference(&init, iters, window, depth, q)
+                .run_tiled_quantized_reference(&init, iters, window, depth, fmt)
                 .expect("tiled reference runs");
             let tiled = sim
-                .run_tiled_quantized(&init, iters, window, depth, q)
+                .run_tiled_quantized(&init, iters, window, depth, fmt)
                 .expect("compiled tiled runs");
             assert_bitwise_eq(&tiled, &tiled_ref, &format!("tiled {what}"));
             let dag_ref = sim
-                .run_cone_dag_quantized_reference(&init, iters, window, depth, q)
+                .run_cone_dag_quantized_reference(&init, iters, window, depth, fmt)
                 .expect("cone reference runs");
             let dag = sim
-                .run_cone_dag_quantized(&init, iters, window, depth, q)
+                .run_cone_dag_quantized(&init, iters, window, depth, fmt)
                 .expect("compiled cone dag runs");
             assert_bitwise_eq(&dag, &dag_ref, &format!("cone-dag {what}"));
         },
@@ -242,7 +241,6 @@ fn saturating_runs_pin_to_rails_at_wide_widths() {
     use isl_hls::ir::{Expr, FieldKind, Offset, StencilPattern};
     for width in [31, 54, 63, 64] {
         let fmt = FixedFormat::new(width, 2);
-        let q = Quantizer::from(fmt);
         let mut p = StencilPattern::new(2).with_name("double");
         let f = p.add_field("f", FieldKind::Dynamic);
         p.set_update(
@@ -264,9 +262,9 @@ fn saturating_runs_pin_to_rails_at_wide_widths() {
             }
         })])
         .expect("frames build");
-        let got = sim.run_quantized(&init, 3, q).expect("quantised run");
+        let got = sim.run_quantized(&init, 3, fmt).expect("quantised run");
         let reference = sim
-            .run_quantized_reference(&init, 3, q)
+            .run_quantized_reference(&init, 3, fmt)
             .expect("reference run");
         assert_bitwise_eq(&got, &reference, &format!("width {width} rails"));
         for (i, &v) in got.frame(0).as_slice().iter().enumerate() {

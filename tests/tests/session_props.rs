@@ -113,8 +113,9 @@ fn explore_follows_workload_iterations() {
     );
 }
 
-/// The DSE → simulation loop: the fastest explored instance, executed
-/// window by window at its depth, equals the golden whole-frame run.
+/// The DSE → simulation loop: the fastest explored instance's window/depth
+/// decomposition, run on the tiled engine (borders resolved at every
+/// level), equals the golden whole-frame run.
 #[test]
 fn explored_architecture_simulates_to_golden() {
     let session = IslSession::from_source(BLUR).unwrap();
@@ -125,12 +126,12 @@ fn explored_architecture_simulates_to_golden() {
         .unwrap();
     let best = explored.fastest().unwrap();
     let init = FrameSet::from_frames(vec![synthetic::noise(64, 48, 11)]).unwrap();
-    let by_arch = session.run_architecture(&init, best.arch).unwrap();
-    let golden = session
-        .simulator()
-        .unwrap()
-        .run(&init, session.iterations())
+    let sim = session.simulator().unwrap();
+    let iterations = session.iterations();
+    let by_arch = sim
+        .run_tiled(&init, iterations, best.arch.window, best.arch.depth)
         .unwrap();
+    let golden = sim.run(&init, iterations).unwrap();
     assert_eq!(by_arch, golden);
 }
 
@@ -225,15 +226,13 @@ fn stored_artifacts_equal_cold_recompute() {
 
         // Compiled-engine outputs: second run (cached programs + cones)
         // bitwise equals a fresh session's first run.
-        let a1 = warm_session
-            .run_architecture(&init, Architecture::new(window, depth, 1))
-            .unwrap();
-        let a2 = warm_session
-            .run_architecture(&init, Architecture::new(window, depth, 1))
-            .unwrap();
-        let b = IslSession::from_pattern(pattern.clone(), iterations)
-            .run_architecture(&init, Architecture::new(window, depth, 1))
-            .unwrap();
+        let tiled = |session: &IslSession| {
+            let sim = session.simulator().unwrap();
+            sim.run_tiled(&init, iterations, window, depth).unwrap()
+        };
+        let a1 = tiled(&warm_session);
+        let a2 = tiled(&warm_session);
+        let b = tiled(&IslSession::from_pattern(pattern.clone(), iterations));
         isl_tests::arb::assert_bitwise_eq(&a1, &a2, "warm rerun");
         isl_tests::arb::assert_bitwise_eq(&a1, &b, "warm vs cold session");
 
@@ -280,6 +279,35 @@ fn stage_errors_report_identically_on_both_paths() {
         .explore(&device, heavy.workload(256, 192), &space)
         .unwrap_err();
     assert_eq!(err, err2);
+}
+
+/// Wrap borders break tile locality, which the cone architecture cannot
+/// honour: certify refuses them before recording anything, and so does the
+/// certification that ends a format search.
+#[test]
+fn wrap_border_is_refused_by_certify_and_search() {
+    let algo = isl_hls::algorithms::gaussian_igf();
+    let session = IslSession::from_algorithm(&algo)
+        .unwrap()
+        .with_border(BorderMode::Wrap);
+    let device = Device::virtex6_xc6vlx760();
+    let arch = Architecture::new(Window::square(3), 2, 1);
+    let init = FrameSet::from_frames(vec![synthetic::noise(12, 9, 5)]).unwrap();
+    let refused = isl_hls::sim::SimError::NonLocalBorder.to_string();
+    let errors = [
+        session.certify(&init, arch).map(|_| ()).unwrap_err(),
+        session
+            .search_format(&device, &init, arch, ErrorBudget::max_abs(1e-2))
+            .map(|_| ())
+            .unwrap_err(),
+    ];
+    for err in errors {
+        assert!(
+            matches!(&err, FlowError::Simulation(m) if m.contains(&refused)),
+            "{err:?}"
+        );
+    }
+    assert_eq!(session.store_stats().vectors.misses, 0, "vectors recorded");
 }
 
 /// Hammer one session from {2, 4} threads: concurrent explores, simulations
