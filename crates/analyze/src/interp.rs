@@ -21,7 +21,7 @@
 
 use isl_fpga::FixedFormat;
 
-use isl_sim::{CompiledCone, CompiledKernel, QuantizedCone, QuantizedKernel, Reg};
+use isl_sim::{CompiledCone, CompiledKernel, QuantizedCone, Reg};
 
 use crate::domain::{
     transfer_binary, transfer_select, transfer_unary, AbstractValue, WordRange,
@@ -83,12 +83,6 @@ impl Analysis {
     pub fn of_kernel(k: &CompiledKernel, fmt: FixedFormat, input: WordRange) -> Self {
         let ssa: Vec<Decoded> = k.code().iter().map(decode).collect();
         Self::run(&ssa, fmt, input)
-    }
-
-    /// Analyse a [`QuantizedKernel`] compiled for the same format.
-    pub fn of_quantized_kernel(k: &QuantizedKernel, input: WordRange) -> Self {
-        let ssa: Vec<Decoded> = k.code().iter().map(decode_q).collect();
-        Self::run(&ssa, k.format(), input)
     }
 
     /// Analyse a [`CompiledCone`] (the slot-allocated form the bit-true

@@ -64,7 +64,7 @@ mod verify;
 pub use domain::{AbstractValue, KnownBits, WordRange};
 pub use interp::Analysis;
 pub use verify::{
-    verify_cone, verify_kernel, verify_quantized_cone, verify_quantized_kernel, verify_slot_program,
+    verify_cone, verify_kernel, verify_quantized_cone, verify_slot_program,
     verify_slot_program_quantized, verify_ssa, verify_ssa_quantized, verify_step, VerifyError,
 };
 
@@ -75,7 +75,6 @@ use isl_sim::compile::ProgramView;
 fn verify_view(view: ProgramView<'_>) -> Result<(), String> {
     let r = match view {
         ProgramView::Kernel(k) => verify_kernel(k),
-        ProgramView::QuantizedKernel(k) => verify_quantized_kernel(k),
         ProgramView::Step(s) => verify_step(s),
         ProgramView::Cone(c) => verify_cone(c),
         ProgramView::QuantizedCone(c) => verify_quantized_cone(c),

@@ -27,10 +27,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use isl_sim::{
-    CompiledCone, CompiledKernel, Instr, QInstr, QuantizedCone, QuantizedKernel, QuantizedStep,
-    Reg,
-};
+use isl_sim::{CompiledCone, CompiledKernel, Instr, QInstr, QuantizedCone, QuantizedStep, Reg};
 
 use crate::program::{decode, decode_q, reconstruct_ssa, Decoded};
 
@@ -237,11 +234,6 @@ pub fn verify_slot_program_quantized(
 /// Verify a [`CompiledKernel`] (SSA, single root).
 pub fn verify_kernel(k: &CompiledKernel) -> Result<(), VerifyError> {
     verify_ssa(k.code(), &[k.result()])
-}
-
-/// Verify a [`QuantizedKernel`] (SSA, single root).
-pub fn verify_quantized_kernel(k: &QuantizedKernel) -> Result<(), VerifyError> {
-    verify_ssa_quantized(k.code(), &[k.result()])
 }
 
 /// Verify a [`QuantizedStep`] (SSA, one root per dynamic field).

@@ -3,13 +3,11 @@
 //! Each experiment of the DAC 2013 evaluation has a regeneration function
 //! here and a binary under `src/bin` that prints the paper's value next to
 //! the measured one (see `EXPERIMENTS.md` at the repository root for the
-//! index and the recorded results). The one bench under `benches/`,
-//! `sim_engine`, times the simulation engines and writes `BENCH_sim.json`.
+//! index and the recorded results). Engine and flow performance is
+//! measured by the repository benchmark, `perfbench/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod harness;
 
 use isl_hls::algorithms::Algorithm;
 use isl_hls::prelude::*;

@@ -486,8 +486,8 @@ impl IslSession {
             .with_caches(self.store.cones().clone(), self.store.syntheses().clone())
     }
 
-    /// A functional simulator wired to the store's compile caches (golden /
-    /// tiled / cone-DAG semantics).
+    /// A functional simulator wired to the store's compile caches (golden
+    /// and cone-DAG semantics, plus the tiled tree-walk oracle).
     ///
     /// # Errors
     ///
@@ -654,15 +654,22 @@ impl IslSession {
             if file.ports_in.is_empty() {
                 continue;
             }
-            // Vector files of foreign shapes need their own entity; the
-            // cones come from the store (already built by certify).
-            let vcone = self.cone_at(Stage::Synthesize, file.window, file.depth)?;
-            let vmodule = generate_cone(&vcone, &VhdlOptions { format: fmt });
-            let tb = generate_vector_testbench(&vmodule, file).map_err(|e| invalid(&e))?;
+            // Vector files of the main shape drive the main entity; foreign
+            // shapes need their own, from the store's cones (already built
+            // by certify).
+            let foreign;
+            let vmodule = if (file.window, file.depth) == (cone.window(), cone.depth()) {
+                &module
+            } else {
+                let vcone = self.cone_at(Stage::Synthesize, file.window, file.depth)?;
+                foreign = generate_cone(&vcone, &VhdlOptions { format: fmt });
+                &foreign
+            };
+            let tb = generate_vector_testbench(vmodule, file).map_err(|e| invalid(&e))?;
             balance_only(&tb).map_err(|e| invalid(&e))?;
             sets.push(VectorSet {
-                entity: (vmodule.entity_name != module.entity_name).then_some(vmodule.code),
-                entity_name: vmodule.entity_name,
+                entity: (vmodule.entity_name != module.entity_name).then(|| vmodule.code.clone()),
+                entity_name: vmodule.entity_name.clone(),
                 vectors_name: format!("{}.vectors", file.entity),
                 vectors: file.to_text(),
                 testbench_name: format!("tb_{}_vec.vhd", file.entity),

@@ -57,8 +57,8 @@
 //! performed by the same function the synthesis model and the VHDL support
 //! package define** — quantise on load (round-to-nearest, saturate),
 //! saturate adds, truncate multiplies/divides after widening, comparisons
-//! produce fixed-point `1.0`, selects forward words untouched. The
-//! quantised engines of `isl-sim` (`run_quantized`, `run_tiled_quantized`,
+//! produce fixed-point `1.0`, selects forward words untouched. The two
+//! quantised engines of `isl-sim` (`run_quantized`,
 //! `run_cone_dag_quantized`) take the same
 //! [`FixedFormat`](isl_fpga::FixedFormat) and run the same contract over
 //! lanes of raw words; this crate runs it scalar-wise, so each side checks

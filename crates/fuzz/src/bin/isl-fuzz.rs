@@ -18,9 +18,9 @@
 //!   (iters/s, cross-checks, corpus size) goes to stderr every
 //!   `--progress-every` iterations (0 silences it).
 //! * `analyze` — replays the checked-in corpus through the `isl-analyze`
-//!   bytecode verifier: every program form (f64 kernels, quantized kernels,
-//!   fused step, folded and unfolded cones, quantized cone) is compiled at
-//!   the entry's recorded configuration and checked for def-before-use,
+//!   bytecode verifier: every program form (f64 kernels, quantized step,
+//!   folded and unfolded cones, quantized cone) is compiled at the entry's
+//!   recorded configuration and checked for def-before-use,
 //!   CSE congruence, DCE soundness and slot-interference freedom; the
 //!   quantized cone is additionally pushed through the abstract
 //!   interpreter. Exits non-zero on any finding. This is the CI gate that
@@ -165,23 +165,17 @@ fn verify_entry(entry: &isl_fuzz::CorpusEntry) -> Result<(usize, usize), String>
     let mut instrs = 0usize;
 
     let compiled = isl_sim::CompiledPattern::compile(&pattern, &params, true);
-    let quantized = isl_sim::QuantizedPattern::compile(&pattern, &params, fmt);
     for i in 0..pattern.fields().len() {
         if let Some(k) = compiled.kernel(i) {
             isl_analyze::verify_kernel(k).map_err(|e| format!("f64 kernel {i}: {e}"))?;
             programs += 1;
             instrs += k.len();
         }
-        if let Some(k) = quantized.kernel(i) {
-            isl_analyze::verify_quantized_kernel(k)
-                .map_err(|e| format!("quantized kernel {i}: {e}"))?;
-            programs += 1;
-            instrs += k.len();
-        }
     }
-    isl_analyze::verify_step(quantized.fused()).map_err(|e| format!("fused step: {e}"))?;
+    let step = isl_sim::QuantizedStep::compile(&pattern, &params, fmt);
+    isl_analyze::verify_step(&step).map_err(|e| format!("quantized step: {e}"))?;
     programs += 1;
-    instrs += quantized.fused().len();
+    instrs += step.len();
 
     // Cone construction can legitimately reject a window/depth combination
     // (reach constraints); that is a frontend contract, not a bytecode bug.

@@ -5,11 +5,12 @@
 //! equivalence lattice the repo pins in its property tests, at a *single*
 //! randomly sampled configuration:
 //!
-//! * `f64` domain — compiled vs tree-walking reference for the whole-frame,
-//!   tiled and cone-DAG decompositions, plus tiled == whole for local
-//!   borders, plus a serial-vs-parallel sweep;
+//! * `f64` domain — compiled vs tree-walking reference for the whole-frame
+//!   and cone-DAG decompositions, plus a serial-vs-parallel sweep, plus the
+//!   tiled tree walk == whole frame for local borders;
 //! * quantised domain — the same lattice at an adversarial fixed-point
-//!   width (the ladder includes 8, 18, 31, 54, 63 and 64 bits);
+//!   width (the ladder includes 8, 18, 31, 54, 63 and 64 bits), the tiled
+//!   leg checking that rounding commutes with the tiling;
 //! * integer co-simulation — golden vectors recorded by the scalar VM and
 //!   re-verified with [`isl_vhdl::check::verify_vectors`] (integer-exact at
 //!   any width); the vectors the quantised cone-DAG engine records
@@ -120,7 +121,8 @@ impl DiffConfig {
 /// A single failed cross-check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mismatch {
-    /// Which equivalence broke (e.g. `tiled-quantized vs reference`).
+    /// Which equivalence broke (e.g. `quantized cone-dag compiled vs
+    /// reference`).
     pub check: String,
     /// First divergence, with both values as bit patterns.
     pub detail: String,
@@ -308,9 +310,6 @@ pub fn run_differential(source: &str, cfg: &DiffConfig) -> DiffOutcome {
 
     // -- f64 and quantised lattices ------------------------------------
     for semantics in Semantics::ALL {
-        if semantics == Semantics::Tiled && !local {
-            continue; // tiled paths reject non-local borders by contract
-        }
         let spec = RunSpec { semantics, iterations: cfg.iterations, window, depth: cfg.depth };
         checks += cross_check(
             &format!("f64 {} compiled vs reference", semantics.name()),
@@ -331,23 +330,19 @@ pub fn run_differential(source: &str, cfg: &DiffConfig) -> DiffOutcome {
             &mut mismatches,
         );
     }
+    // The tiled oracle rejects non-local borders by contract.
     if local {
-        let spec = RunSpec {
-            semantics: Semantics::Tiled,
-            iterations: cfg.iterations,
-            window,
-            depth: cfg.depth,
-        };
+        let (n, d) = (cfg.iterations, cfg.depth);
         checks += cross_check(
             "f64 tiled vs whole-frame",
-            run_f64(&sim, spec, Engine::Compiled, &init),
-            sim.run(&init, cfg.iterations),
+            sim.run_tiled_reference(&init, n, window, d),
+            sim.run(&init, n),
             &mut mismatches,
         );
         checks += cross_check(
             "quantized tiled vs whole-frame",
-            run_quantized(&sim, spec, Engine::Compiled, &init, fmt),
-            sim.run_quantized(&init, cfg.iterations, fmt),
+            sim.run_tiled_quantized_reference(&init, n, window, d, fmt),
+            sim.run_quantized(&init, n, fmt),
             &mut mismatches,
         );
     }

@@ -28,14 +28,12 @@ use isl_fpga::FixedFormat;
 use isl_ir::{BinaryOp, Cone, Expr, FieldKind, Leaf, Node, NodeId, StencilPattern, UnaryOp};
 
 /// A borrowed view of one freshly compiled program, in whichever of the
-/// five forms the compiler emits — what the [compile verifier
+/// four forms the compiler emits — what the [compile verifier
 /// hook](set_compile_verifier) receives.
 #[derive(Clone, Copy)]
 pub enum ProgramView<'a> {
     /// An SSA `f64` kernel ([`CompiledKernel`]).
     Kernel(&'a CompiledKernel),
-    /// An SSA quantised kernel ([`QuantizedKernel`]).
-    QuantizedKernel(&'a QuantizedKernel),
     /// A multi-field quantised step program ([`QuantizedStep`]).
     Step(&'a QuantizedStep),
     /// A slot-allocated `f64` cone program ([`CompiledCone`]).
@@ -49,7 +47,6 @@ impl ProgramView<'_> {
     pub fn kind(&self) -> &'static str {
         match self {
             ProgramView::Kernel(_) => "kernel",
-            ProgramView::QuantizedKernel(_) => "quantized kernel",
             ProgramView::Step(_) => "quantized step",
             ProgramView::Cone(_) => "cone",
             ProgramView::QuantizedCone(_) => "quantized cone",
@@ -269,6 +266,20 @@ pub struct Halo {
     pub down: u32,
 }
 
+impl Halo {
+    /// The per-side read reach of an SSA program's input taps.
+    fn of<I: Bytecode>(code: &[I]) -> Self {
+        let mut halo = Halo::default();
+        for (_, dx, dy) in code.iter().filter_map(Bytecode::tap) {
+            halo.left = halo.left.max(dx.unsigned_abs() * u32::from(dx < 0));
+            halo.right = halo.right.max(dx.unsigned_abs() * u32::from(dx > 0));
+            halo.up = halo.up.max(dy.unsigned_abs() * u32::from(dy < 0));
+            halo.down = halo.down.max(dy.unsigned_abs() * u32::from(dy > 0));
+        }
+        halo
+    }
+}
+
 /// The compiled update program of one dynamic field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
@@ -296,15 +307,7 @@ impl CompiledKernel {
         };
         let result = b.lower(expr);
         let (code, result) = eliminate_dead_code(b.code, result);
-        let mut halo = Halo::default();
-        for instr in &code {
-            if let Instr::Input { dx, dy, .. } = *instr {
-                halo.left = halo.left.max(dx.unsigned_abs() * u32::from(dx < 0));
-                halo.right = halo.right.max(dx.unsigned_abs() * u32::from(dx > 0));
-                halo.up = halo.up.max(dy.unsigned_abs() * u32::from(dy < 0));
-                halo.down = halo.down.max(dy.unsigned_abs() * u32::from(dy > 0));
-            }
-        }
+        let halo = Halo::of(&code);
         let k = CompiledKernel { code, result, halo };
         notify_compiled(ProgramView::Kernel(&k));
         k
@@ -784,15 +787,6 @@ impl CompiledPattern {
     pub fn field_count(&self) -> usize {
         self.kernels.len()
     }
-
-    /// Total instructions across all dynamic fields.
-    pub fn total_instructions(&self) -> usize {
-        self.kernels
-            .iter()
-            .flatten()
-            .map(CompiledKernel::len)
-            .sum()
-    }
 }
 
 /// One output element of a [`CompiledCone`] program: `field` at window-local
@@ -1116,104 +1110,29 @@ impl CompiledCone {
     }
 }
 
-/// The compiled **quantised** update program of one dynamic field: a
-/// [`QInstr`] buffer over raw `i64` words of one [`FixedFormat`], with the
-/// rounding/saturation rule fused into the instructions at compile time.
+/// The compiled **quantised** whole-frame program of one pattern — the
+/// fixed-point counterpart of [`CompiledPattern`]: **all** dynamic-field
+/// updates lowered into a single fold-free [`QInstr`] program over raw
+/// `i64` words of one [`FixedFormat`], with the rounding/saturation rule
+/// fused into the instructions at compile time and the format carried by
+/// the program, so a mismatched quantiser between compile time and run time
+/// is unrepresentable.
 ///
-/// Built from the fold-free `f64` lowering of the update expression (every
-/// intermediate of the reference tree exists and receives the hardware's
-/// per-operation rounding), then constant-folded **in the fixed-point
-/// domain** — safe precisely because compile-time evaluation uses the same
+/// The fold-free lowering keeps every intermediate of the reference
+/// expression trees, so each receives the hardware's per-operation
+/// rounding; constants are then folded **in the fixed-point domain** — safe
+/// precisely because compile-time evaluation uses the same
 /// `FixedFormat::apply_*` functions the evaluator would.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantizedKernel {
-    pub(crate) code: Vec<QInstr>,
-    pub(crate) result: Reg,
-    halo: Halo,
-    fmt: FixedFormat,
-}
-
-impl QuantizedKernel {
-    /// Quantise `expr`'s fold-free lowering into a `fmt` program.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`CompiledKernel::compile`].
-    pub fn compile(expr: &Expr, params: &[f64], fmt: FixedFormat) -> Self {
-        let k = CompiledKernel::compile(expr, params, false);
-        let (code, results) = quantize_code(&k.code, &[k.result], fmt);
-        let result = results[0];
-        let halo = quantized_halo(&code);
-        let k = QuantizedKernel {
-            code,
-            result,
-            halo,
-            fmt,
-        };
-        notify_compiled(ProgramView::QuantizedKernel(&k));
-        k
-    }
-
-    /// Number of instructions in the flattened program.
-    pub fn len(&self) -> usize {
-        self.code.len()
-    }
-
-    /// Whether the program is empty (never: even a constant emits one
-    /// instruction).
-    pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
-    }
-
-    /// The per-side read reach of this kernel.
-    pub fn halo(&self) -> Halo {
-        self.halo
-    }
-
-    /// The fixed-point format fused into the program.
-    pub fn format(&self) -> FixedFormat {
-        self.fmt
-    }
-
-    /// The instruction buffer; instruction `i` writes register `i`.
-    pub fn code(&self) -> &[QInstr] {
-        &self.code
-    }
-
-    /// Register holding the kernel's result.
-    pub fn result(&self) -> Reg {
-        self.result
-    }
-}
-
-/// The per-side read reach of a quantised program.
-fn quantized_halo(code: &[QInstr]) -> Halo {
-    let mut halo = Halo::default();
-    for instr in code {
-        if let Some((_, dx, dy)) = instr.tap() {
-            halo.left = halo.left.max(dx.unsigned_abs() * u32::from(dx < 0));
-            halo.right = halo.right.max(dx.unsigned_abs() * u32::from(dx > 0));
-            halo.up = halo.up.max(dy.unsigned_abs() * u32::from(dy < 0));
-            halo.down = halo.down.max(dy.unsigned_abs() * u32::from(dy > 0));
-        }
-    }
-    halo
-}
-
-/// **All** dynamic-field updates of one pattern lowered into a single
-/// fold-free quantised program with cross-field common-subexpression
-/// elimination — the multi-output counterpart of [`QuantizedKernel`].
 ///
 /// Field updates of one stencil routinely share work: gradients, norms and
 /// parameter quotients appear in every component's update (Chambolle's `px`
 /// and `py` kernels share the divergence, both gradient taps, the norm's
 /// `sqrt` and all three `÷λ` divides). Lowering every update through one
 /// hash-consing builder dedupes those subexpressions, so the whole-frame
-/// engine evaluates them once per pixel instead of once per field.
-///
-/// Bit-identical to evaluating each field's [`QuantizedKernel`] separately:
-/// CSE only merges *exactly equal* operations on *exactly equal* operands,
-/// and every instruction applies the same `FixedFormat` rounding either way.
+/// engine evaluates them once per pixel instead of once per field. That is
+/// bit-identical to evaluating each update on its own: CSE only merges
+/// *exactly equal* operations on *exactly equal* operands, and every
+/// instruction applies the same `FixedFormat` rounding either way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantizedStep {
     pub(crate) code: Vec<QInstr>,
@@ -1250,7 +1169,7 @@ impl QuantizedStep {
             }
         }
         let (code, results) = quantize_code(&b.code, &roots, fmt);
-        let halo = quantized_halo(&code);
+        let halo = Halo::of(&code);
         let s = QuantizedStep {
             code,
             outputs: fields.into_iter().zip(results).collect(),
@@ -1290,78 +1209,6 @@ impl QuantizedStep {
     /// `(field index, result register)` per dynamic field, in field order.
     pub fn outputs(&self) -> &[(u16, Reg)] {
         &self.outputs
-    }
-}
-
-/// The compiled quantised programs of every dynamic field of one pattern —
-/// the fixed-point counterpart of [`CompiledPattern`], with the
-/// [`FixedFormat`] carried by the program itself so a mismatched quantiser
-/// between compile time and run time is unrepresentable.
-///
-/// Carries both views of the same step: per-field [`QuantizedKernel`]s
-/// (what the tiled engine evaluates level by level) and the fused
-/// cross-field [`QuantizedStep`] (what the whole-frame engine evaluates
-/// once per pixel).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantizedPattern {
-    kernels: Vec<Option<QuantizedKernel>>,
-    fused: QuantizedStep,
-    fmt: FixedFormat,
-}
-
-impl QuantizedPattern {
-    /// Compile every dynamic field's update of `pattern` into `fmt`
-    /// programs with `params` bound.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`CompiledPattern::compile`].
-    pub fn compile(pattern: &StencilPattern, params: &[f64], fmt: FixedFormat) -> Self {
-        let kernels = pattern
-            .fields()
-            .iter()
-            .enumerate()
-            .map(|(i, decl)| match decl.kind {
-                FieldKind::Static => None,
-                FieldKind::Dynamic => {
-                    let update = pattern
-                        .update(isl_ir::FieldId::new(i as u16))
-                        .expect("validated pattern has updates for dynamic fields");
-                    Some(QuantizedKernel::compile(update, params, fmt))
-                }
-            })
-            .collect();
-        let fused = QuantizedStep::compile(pattern, params, fmt);
-        QuantizedPattern { kernels, fused, fmt }
-    }
-
-    /// The kernel of field `i`, or `None` for static fields.
-    pub fn kernel(&self, i: usize) -> Option<&QuantizedKernel> {
-        self.kernels.get(i).and_then(|k| k.as_ref())
-    }
-
-    /// The fused multi-output program over all dynamic fields.
-    pub fn fused(&self) -> &QuantizedStep {
-        &self.fused
-    }
-
-    /// Number of fields (dynamic and static) the program covers.
-    pub fn field_count(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// The fixed-point format fused into the programs.
-    pub fn format(&self) -> FixedFormat {
-        self.fmt
-    }
-
-    /// Total instructions across all dynamic fields.
-    pub fn total_instructions(&self) -> usize {
-        self.kernels
-            .iter()
-            .flatten()
-            .map(QuantizedKernel::len)
-            .sum()
     }
 }
 
@@ -1502,7 +1349,7 @@ impl ProgramKey {
 struct ProgramCacheInner {
     patterns: Mutex<HashMap<ProgramKey, Arc<CompiledPattern>>>,
     cones: Mutex<HashMap<ProgramKey, Arc<CompiledCone>>>,
-    qpatterns: Mutex<HashMap<(ProgramKey, FixedFormat), Arc<QuantizedPattern>>>,
+    qpatterns: Mutex<HashMap<(ProgramKey, FixedFormat), Arc<QuantizedStep>>>,
     qcones: Mutex<HashMap<(ProgramKey, FixedFormat), Arc<QuantizedCone>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
@@ -1584,7 +1431,7 @@ impl ProgramCache {
         pattern: &StencilPattern,
         params: &[f64],
         fmt: FixedFormat,
-    ) -> Arc<QuantizedPattern> {
+    ) -> Arc<QuantizedStep> {
         let key = (ProgramKey::of(pattern, params, false, None), fmt);
         if let Some(hit) = self.inner.qpatterns.lock().expect("program cache").get(&key) {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
@@ -1592,7 +1439,7 @@ impl ProgramCache {
         }
         self.inner.misses.fetch_add(1, Ordering::Relaxed);
         let _span = isl_telemetry::span("compile", "pattern q");
-        let built = Arc::new(QuantizedPattern::compile(pattern, params, fmt));
+        let built = Arc::new(QuantizedStep::compile(pattern, params, fmt));
         let mut map = self.inner.qpatterns.lock().expect("program cache");
         Arc::clone(map.entry(key).or_insert(built))
     }

@@ -5,7 +5,7 @@
 //! cone pass from `f64`?"; this module answers the system-level question —
 //! after `N` iterations over a whole frame, how much error has the hardware
 //! data path accumulated? Execution runs entirely in the **raw word
-//! domain** on [`crate::compile::QuantizedPattern`] programs: the rounding
+//! domain** on [`crate::compile::QuantizedStep`] programs: the rounding
 //! rule is fused into every instruction at compile time (saturating
 //! fixed-point add/sub, truncating widened mul/div — the exact
 //! `isl_fpga::FixedFormat` datapath the generated VHDL implements), so

@@ -1,18 +1,22 @@
 //! Uniform engine-harness hooks over the simulator's execution matrix.
 //!
-//! The simulator exposes twelve `run*` entry points: three decomposition
-//! **semantics** (whole-frame, tiled cone architecture, cone-DAG level
-//! schedule) × two **engines** (tree-walking reference, compiled bytecode)
-//! × two **domains** (`f64`, quantised fixed point). Callers that sweep the
-//! matrix — the differential fuzzer above all — need one dispatch point
-//! instead of twelve method names; this module is that point.
+//! The simulator's execution matrix has eight `run*` cells: two
+//! decomposition **semantics** (whole-frame, cone-DAG level schedule) × two
+//! **engines** (tree-walking reference, compiled bytecode) × two **domains**
+//! (`f64`, quantised fixed point). Callers that sweep the matrix — the
+//! differential fuzzer above all — need one dispatch point instead of eight
+//! method names; this module is that point. The tiled semantics stays
+//! outside the matrix: it has only its tree walks
+//! ([`Simulator::run_tiled_reference`] and
+//! [`Simulator::run_tiled_quantized_reference`]), the oracles for tiled ==
+//! whole-frame under local borders.
 //!
 //! [`run_f64`] and [`run_quantized`] take a [`RunSpec`] naming the
 //! decomposition and an [`Engine`] naming the evaluator, and forward to
-//! the corresponding `Simulator` method. The bitwise contracts between the
-//! cells (compiled == reference within every semantics; tiled == whole for
-//! local borders) are the repo's standing equivalence properties — the
-//! harness adds no semantics of its own.
+//! the corresponding `Simulator` method. The bitwise contract between the
+//! cells (compiled == reference within every semantics) is the repo's
+//! standing equivalence property — the harness adds no semantics of its
+//! own.
 
 use isl_fpga::FixedFormat;
 use isl_ir::Window;
@@ -26,23 +30,20 @@ use crate::sim::Simulator;
 pub enum Semantics {
     /// Whole-frame stepping, one iteration at a time.
     Whole,
-    /// The paper's tiled cone architecture: levels of depth-`d` cones,
-    /// window by window, borders resolved at each level's base.
-    Tiled,
-    /// The cone-DAG schedule: the same levels executed through compiled
-    /// whole-cone programs (interior-exact; borders differ from `Tiled`).
+    /// The cone-DAG schedule of the paper's cone architecture: levels of
+    /// depth-`d` cones, window by window, borders resolved at each cone's
+    /// base (interior-exact, like the emitted VHDL).
     ConeDag,
 }
 
 impl Semantics {
     /// All decomposition semantics, in sweep order.
-    pub const ALL: [Semantics; 3] = [Semantics::Whole, Semantics::Tiled, Semantics::ConeDag];
+    pub const ALL: [Semantics; 2] = [Semantics::Whole, Semantics::ConeDag];
 
-    /// Short stable name (`whole` / `tiled` / `cone-dag`).
+    /// Short stable name (`whole` / `cone-dag`).
     pub fn name(self) -> &'static str {
         match self {
             Semantics::Whole => "whole",
-            Semantics::Tiled => "tiled",
             Semantics::ConeDag => "cone-dag",
         }
     }
@@ -78,9 +79,9 @@ pub struct RunSpec {
     pub semantics: Semantics,
     /// Iteration count.
     pub iterations: u32,
-    /// Cone window (tiled / cone-DAG only).
+    /// Cone window (cone-DAG only).
     pub window: Window,
-    /// Cone depth (tiled / cone-DAG only).
+    /// Cone depth (cone-DAG only).
     pub depth: u32,
 }
 
@@ -99,8 +100,6 @@ pub fn run_f64(
     match (spec.semantics, engine) {
         (Semantics::Whole, Engine::Reference) => sim.run_reference(init, n),
         (Semantics::Whole, Engine::Compiled) => sim.run(init, n),
-        (Semantics::Tiled, Engine::Reference) => sim.run_tiled_reference(init, n, w, d),
-        (Semantics::Tiled, Engine::Compiled) => sim.run_tiled(init, n, w, d),
         (Semantics::ConeDag, Engine::Reference) => sim.run_cone_dag_reference(init, n, w, d),
         (Semantics::ConeDag, Engine::Compiled) => sim.run_cone_dag(init, n, w, d),
     }
@@ -122,10 +121,6 @@ pub fn run_quantized(
     match (spec.semantics, engine) {
         (Semantics::Whole, Engine::Reference) => sim.run_quantized_reference(init, n, fmt),
         (Semantics::Whole, Engine::Compiled) => sim.run_quantized(init, n, fmt),
-        (Semantics::Tiled, Engine::Reference) => {
-            sim.run_tiled_quantized_reference(init, n, w, d, fmt)
-        }
-        (Semantics::Tiled, Engine::Compiled) => sim.run_tiled_quantized(init, n, w, d, fmt),
         (Semantics::ConeDag, Engine::Reference) => {
             sim.run_cone_dag_quantized_reference(init, n, w, d, fmt)
         }
@@ -161,20 +156,20 @@ mod tests {
         })])
         .unwrap();
         let spec = RunSpec {
-            semantics: Semantics::Tiled,
+            semantics: Semantics::ConeDag,
             iterations: 3,
             window: Window::square(4),
             depth: 2,
         };
         let via_harness = run_f64(&sim, spec, Engine::Compiled, &init).unwrap();
-        let direct = sim.run_tiled(&init, 3, Window::square(4), 2).unwrap();
+        let direct = sim.run_cone_dag(&init, 3, Window::square(4), 2).unwrap();
         for (a, b) in via_harness.frames().iter().zip(direct.frames()) {
             assert_eq!(a.as_slice(), b.as_slice());
         }
         let q = FixedFormat::new(16, 8);
         let qa = run_quantized(&sim, spec, Engine::Reference, &init, q).unwrap();
         let qb = sim
-            .run_tiled_quantized_reference(&init, 3, Window::square(4), 2, q)
+            .run_cone_dag_quantized_reference(&init, 3, Window::square(4), 2, q)
             .unwrap();
         for (a, b) in qa.frames().iter().zip(qb.frames()) {
             assert_eq!(a.as_slice(), b.as_slice());

@@ -9,16 +9,17 @@
 //!   explicit [`BorderMode`] resolution;
 //! * [`Simulator::run`] — the *golden* semantics: one whole frame per
 //!   iteration, exactly Algorithm 1 of the paper;
-//! * [`Simulator::run_tiled`] — the *tiled* semantics: the frame is
+//! * [`Simulator::run_cone_dag`] — the *architecture* semantics: evaluates
+//!   the actual hash-consed cone DAGs (the thing the VHDL implements) per
+//!   window, borders resolved at each cone's base only; identical to golden
+//!   on the frame interior, and the hardware-faithful data path;
+//! * [`Simulator::run_tiled_reference`] — the *tiled* oracle: the frame is
 //!   processed window by window through levels of depth-`d` cones, with
-//!   border handling applied at every level at absolute frame coordinates.
-//!   For clamp/mirror/constant borders this is **bit-identical** to the
-//!   golden run (tests enforce it). Neither the emitted VHDL nor
-//!   certification computes it; it stays as a test oracle;
-//! * [`Simulator::run_cone_dag`] — evaluates the actual hash-consed cone
-//!   DAGs (the thing the VHDL implements) per window, borders resolved at
-//!   each cone's base only; identical to golden on the frame interior, and
-//!   the hardware-faithful data path;
+//!   border handling applied at every level at absolute frame coordinates,
+//!   on the tree-walking interpreter. For clamp/mirror/constant borders this
+//!   is **bit-identical** to the golden run (tests enforce it), which is the
+//!   paper's exactness claim. Neither the emitted VHDL nor certification
+//!   computes it, so it has no compiled engine;
 //! * [`Simulator::run_until_converged`] — fixed-point iteration for the
 //!   "potentially unbounded" ISL variant mentioned in Section 2;
 //! * [`synthetic`] — deterministic frame generators standing in for the
@@ -26,11 +27,12 @@
 //!
 //! ## The compiled execution engine
 //!
-//! **Every** execution path — [`Simulator::step`], [`Simulator::run`],
-//! [`Simulator::run_until_converged`], [`Simulator::run_quantized`],
-//! [`Simulator::run_tiled`] and [`Simulator::run_cone_dag`] — executes on a
-//! **compiled bytecode engine** rather than walking the [`isl_ir::Expr`]
-//! tree (or the cone graph) per element:
+//! The whole-frame and cone-DAG paths — [`Simulator::step`],
+//! [`Simulator::run`], [`Simulator::run_until_converged`],
+//! [`Simulator::run_quantized`], [`Simulator::run_cone_dag`] and
+//! [`Simulator::run_cone_dag_quantized`] — execute on a **compiled bytecode
+//! engine** rather than walking the [`isl_ir::Expr`] tree (or the cone
+//! graph) per element:
 //!
 //! * [`compile`] lowers each dynamic field's update expression once into a
 //!   flat, register-indexed instruction buffer ([`CompiledPattern`]) — no
@@ -52,42 +54,38 @@
 //!   where every stencil tap is statically in-bounds (reads become raw
 //!   row-slice copies and the program runs instruction-at-a-time over whole
 //!   row spans, which vectorises), plus *border strips* that fall back to
-//!   per-pixel evaluation with full [`BorderMode`] resolution. The same
-//!   machinery runs [`Simulator::run_tiled`]'s levels over reusable tile
-//!   halo buffers (frames and halo buffers are one source-view type), and
-//!   [`Simulator::run_cone_dag`]'s window tiles as structure-of-arrays
-//!   *lanes* — one lane per tile, arithmetic amortised across a whole band
-//!   of tiles.
+//!   per-pixel evaluation with full [`BorderMode`] resolution. Cone-DAG
+//!   window tiles run as structure-of-arrays *lanes* — one lane per tile,
+//!   arithmetic amortised across a whole band of tiles.
 //! * Steps are **double-buffered**: run loops recycle the retiring frame
 //!   set's uniquely-owned allocations as the next step's output buffers, so
 //!   long runs stop paying the allocator per iteration.
 //! * Work is distributed over a **persistent worker pool** ([`parallel`]):
 //!   threads are spawned once per process and parked between calls, cutting
 //!   the per-step spawn overhead that used to eat the engine's gains on
-//!   small frames. Interior rows parallelise in contiguous row bands, tiled
-//!   and cone levels in bands of whole tile rows; tune with
+//!   small frames. Interior rows parallelise in contiguous row bands, cone
+//!   levels in bands of whole tile rows; tune with
 //!   [`Simulator::with_threads`] (default: one per core, automatically
 //!   serial for tiny frames).
 //!
 //! ## The quantised datapath
 //!
-//! Every execution semantics also has a **quantised** variant —
-//! [`Simulator::run_quantized`], [`Simulator::run_tiled_quantized`],
-//! [`Simulator::run_cone_dag_quantized`] — that runs entirely in the **raw
-//! word domain** of a hardware fixed-point format
-//! ([`isl_fpga::FixedFormat`], which every quantised entry point takes):
-//! frames are quantised once on entry, every instruction is a saturating
-//! integer operation (`i128`-widened truncating multiply/divide, saturating
-//! add/sub — exactly the datapath the generated VHDL implements), and words
-//! dequantise once on exit. [`Simulator::record_cone_dag_quantized`] is
-//! the cone-DAG run that also records every cone firing: the one engine
-//! run `IslSession::certify` makes, whose golden vectors it verifies
-//! against an independent oracle. Three design decisions make this both
-//! fast and trustworthy:
+//! Each compiled semantics also has a **quantised** variant —
+//! [`Simulator::run_quantized`] and [`Simulator::run_cone_dag_quantized`] —
+//! that runs entirely in the **raw word domain** of a hardware fixed-point
+//! format ([`isl_fpga::FixedFormat`], which every quantised entry point
+//! takes): frames are quantised once on entry, every instruction is a
+//! saturating integer operation (`i128`-widened truncating multiply/divide,
+//! saturating add/sub — exactly the datapath the generated VHDL
+//! implements), and words dequantise once on exit.
+//! [`Simulator::record_cone_dag_quantized`] is the cone-DAG run that also
+//! records every cone firing: the one engine run `IslSession::certify`
+//! makes, whose golden vectors it verifies against an independent oracle.
+//! Three design decisions make this both fast and trustworthy:
 //!
 //! * **Rounding is fused at compile time.** [`compile`] lowers the pattern
 //!   (fold-free, so every node of the reference expression tree survives)
-//!   into a dedicated quantised program ([`QuantizedPattern`] /
+//!   into a dedicated quantised program ([`QuantizedStep`] /
 //!   [`QuantizedCone`]) whose instructions *are* the rounding rule — there
 //!   is no per-op rounding hook, so running a program in a mismatched
 //!   format is unrepresentable, and the inner loops carry no rounding
@@ -95,11 +93,10 @@
 //! * **Lane kernels are shared with the hardware model.** The span-wise
 //!   saturating kernels (`FixedFormat::unary_span` / `binary_span` in
 //!   `isl-fpga`) are the *single* bit-true definition of the datapath:
-//!   this crate's three quantised engines (whole-frame rect evaluator,
-//!   tiled halo-buffer path, cone SoA lanes — mirroring the `f64` planes
-//!   above) and the `isl-cosim` integer VM all execute them, so a property
-//!   test of any engine against the tree-walking raw-word references
-//!   transitively pins the others.
+//!   this crate's two quantised engines (whole-frame row evaluator and cone
+//!   SoA lanes — mirroring the `f64` planes above) and the `isl-cosim`
+//!   integer VM all execute them, so a property test of any engine against
+//!   the tree-walking raw-word references transitively pins the others.
 //! * **Cone outputs retire as they stream.** Slot allocation lets an
 //!   output's register die at its defining instruction; evaluators scatter
 //!   each output to its destination frame the moment it is produced, so the
@@ -108,23 +105,19 @@
 //!
 //! The tree-walking interpreters survive as [`Simulator::step_reference`] /
 //! [`Simulator::run_reference`] / [`Simulator::run_quantized_reference`] /
-//! [`Simulator::run_tiled_reference`] /
-//! [`Simulator::run_cone_dag_reference`] (and the quantised
-//! `*_quantized_reference` pair): the golden semantics the engine is
-//! property-tested against — results are **bit-identical** for every
-//! pattern, border mode, window shape, depth, fixed-point format and
-//! thread count (see `tests/tests/compiled_engine_props.rs`,
+//! [`Simulator::run_cone_dag_reference`] /
+//! [`Simulator::run_cone_dag_quantized_reference`]: the golden semantics
+//! the engine is property-tested against — results are **bit-identical**
+//! for every pattern, border mode, window shape, depth, fixed-point format
+//! and thread count (see `tests/tests/compiled_engine_props.rs`,
 //! `tests/tests/tiled_engine_props.rs` and `tests/tests/cosim_props.rs`).
-//! These suites and the differential fuzzer own engine equivalence;
-//! certification does not re-prove it.
-//!
-//! Measure the difference with `cargo bench -p isl-bench --bench sim_engine`,
-//! which compares interpreted vs compiled runs of all three semantics
-//! (gaussian IGF and Chambolle at 256×256) and writes `BENCH_sim.json`; on
-//! one core the compiled engine is ~13×/~29× (whole-frame), ~10×/~26×
-//! (tiled) and ~6×/~7× (cone-DAG) faster for IGF/Chambolle respectively
-//! (run to run the exact ratios wander with machine load; the committed
-//! `BENCH_sim.json` holds the last measured trajectory point).
+//! The tiled tree walks [`Simulator::run_tiled_reference`] and
+//! [`Simulator::run_tiled_quantized_reference`] are the oracles for the
+//! paper's two exactness claims: tiled equals whole-frame for local
+//! borders, and rounding commutes with the tiling. These suites and the
+//! differential fuzzer own engine equivalence; certification does not
+//! re-prove it. The repository benchmark (`perfbench/`, see
+//! `perfbench/METRICS.md`) measures the engines' throughput.
 //!
 //! ```
 //! use isl_sim::{Frame, FrameSet, Simulator, BorderMode};
@@ -148,7 +141,7 @@
 //! let sim = Simulator::new(&p)?.with_border(BorderMode::Clamp);
 //! let init = FrameSet::from_frames(vec![Frame::from_fn(16, 16, |x, y| (x + y) as f64)])?;
 //! let golden = sim.run(&init, 4)?;
-//! let tiled = sim.run_tiled(&init, 4, isl_ir::Window::square(4), 2)?;
+//! let tiled = sim.run_tiled_reference(&init, 4, isl_ir::Window::square(4), 2)?;
 //! assert!(golden.max_abs_diff(&tiled) < 1e-12);
 //! # Ok(())
 //! # }
@@ -175,9 +168,8 @@ mod vm;
 
 pub use border::BorderMode;
 pub use compile::{
-    set_compile_verifier, CompileVerifier, CompiledCone, CompiledKernel, CompiledPattern,
-    ConeSlot, Halo, Instr, ProgramCache, ProgramView, QInstr, QuantizedCone, QuantizedKernel,
-    QuantizedPattern, QuantizedStep, Reach, Reg,
+    set_compile_verifier, CompileVerifier, CompiledCone, CompiledKernel, CompiledPattern, ConeSlot,
+    Halo, Instr, ProgramCache, ProgramView, QInstr, QuantizedCone, QuantizedStep, Reach, Reg,
 };
 pub use error::SimError;
 pub use fixed::Quantizer;

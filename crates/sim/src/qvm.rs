@@ -7,18 +7,16 @@
 //! single bit-true definition the co-simulation VM executes scalar-wise.
 //! There is no per-op rounding hook anywhere in this module: rounding *is*
 //! the arithmetic, fused at compile time by
-//! [`crate::compile::QuantizedPattern`] / [`crate::compile::QuantizedCone`],
+//! [`crate::compile::QuantizedStep`] / [`crate::compile::QuantizedCone`],
 //! so the engines are branch-free over structure-of-arrays spans exactly
 //! like their `f64` counterparts.
 //!
-//! Three engines, mirroring the `f64` trio:
+//! Two engines, mirroring the `f64` pair:
 //!
-//! * [`step_quantized`] — whole-frame rect evaluation (interior spans +
+//! * [`step_quantized`] — whole-frame row evaluation (interior spans +
 //!   scalar border strips) of the **fused** multi-output program
 //!   ([`crate::compile::QuantizedStep`]), so subexpressions shared between
 //!   field updates are computed once per pixel, not once per field;
-//! * [`tiled_level_quantized`] — the tiled cone-architecture level over
-//!   ping/pong halo buffers;
 //! * [`cone_level_quantized`] — cone-DAG tiles as SoA lanes with streaming
 //!   output retirement (outputs scatter the moment their defining
 //!   instruction executes, so the scratch tracks the live set, not the
@@ -36,7 +34,7 @@ use isl_fpga::FixedFormat;
 use isl_ir::{Expr, FieldId, Offset, ParamId};
 
 use crate::border::BorderMode;
-use crate::compile::{QInstr, QuantizedCone, QuantizedKernel, QuantizedPattern, QuantizedStep};
+use crate::compile::{QInstr, QuantizedCone, QuantizedStep};
 use crate::frame::{Frame, FrameSet};
 use crate::parallel::for_each_task;
 use crate::sim::ConeFiring;
@@ -142,40 +140,28 @@ pub(crate) fn border_raw(border: BorderMode, fmt: FixedFormat) -> i64 {
 
 // -- source views -----------------------------------------------------------
 
-/// [`crate::vm::SrcView`]'s integer twin: a row-major word buffer whose
-/// first sample sits at frame coordinate `(ox, oy)`.
+/// A read-only view of one field's raw words: a whole row-major frame of
+/// `stride`-word rows, with [`Frame::sample`]'s border resolution.
 #[derive(Clone, Copy)]
 struct WordView<'a> {
     data: &'a [i64],
-    ox: i64,
-    oy: i64,
     stride: usize,
 }
 
 impl<'a> WordView<'a> {
     fn frame(data: &'a [i64], stride: usize) -> Self {
-        WordView { data, ox: 0, oy: 0, stride }
-    }
-
-    fn buffer(data: &'a [i64], ox: i64, oy: i64, stride: usize) -> Self {
-        WordView { data, ox, oy, stride }
-    }
-
-    #[inline]
-    fn get(&self, x: i64, y: i64) -> i64 {
-        let idx = (y - self.oy) as usize * self.stride + (x - self.ox) as usize;
-        self.data[idx]
+        WordView { data, stride }
     }
 
     fn sample(&self, x: i64, y: i64, w: i64, h: i64, border: BorderMode, border_raw: i64) -> i64 {
         match (border.resolve(x, w), border.resolve(y, h)) {
-            (Some(rx), Some(ry)) => self.get(rx, ry),
+            (Some(rx), Some(ry)) => self.data[ry as usize * self.stride + rx as usize],
             _ => border_raw,
         }
     }
 }
 
-/// Reusable per-worker scratch of the quantised rect evaluator.
+/// Reusable per-worker scratch of the quantised row evaluator.
 #[derive(Default)]
 struct ScratchQ {
     lanes: Vec<i64>,
@@ -189,28 +175,20 @@ impl ScratchQ {
     }
 }
 
-/// The destination of a quantised rect evaluation.
-struct RectOutQ<'a> {
-    data: &'a mut [i64],
-    ox: i64,
-    oy: i64,
-    stride: usize,
-}
-
 // -- whole-frame stepping ---------------------------------------------------
 
 /// One quantised whole-frame step — the engine behind
 /// [`crate::Simulator::run_quantized`]. The rounding rule lives inside the
-/// program (`qp`), so a mismatched quantiser between compile and run is
+/// program (`step`), so a mismatched quantiser between compile and run is
 /// unrepresentable.
 ///
-/// Evaluates the pattern's **fused** multi-output program
-/// ([`QuantizedPattern::fused`]) rather than one kernel per field: all
-/// dynamic fields of a row band are produced in a single pass over the
-/// instruction stream, with cross-field common subexpressions (gradients,
-/// norms, parameter quotients) computed once per pixel.
+/// Evaluates the pattern's **fused** multi-output program rather than one
+/// kernel per field: all dynamic fields of a row band are produced in a
+/// single pass over the instruction stream, with cross-field common
+/// subexpressions (gradients, norms, parameter quotients) computed once per
+/// pixel.
 pub(crate) fn step_quantized(
-    qp: &QuantizedPattern,
+    step: &QuantizedStep,
     state: &WordSet,
     border: BorderMode,
     threads: usize,
@@ -218,8 +196,7 @@ pub(crate) fn step_quantized(
 ) -> WordSet {
     let _span = isl_telemetry::span("engine", "frame step q");
     let (w, h) = (state.width(), state.height());
-    let braw = border_raw(border, qp.format());
-    let step = qp.fused();
+    let braw = border_raw(border, step.format());
     let dyn_fields: Vec<usize> = step.outputs().iter().map(|&(f, _)| f as usize).collect();
     let t = tile_banding(h, 1, threads, w * h * step.len());
     let srcs: Vec<WordView<'_>> = state.frames.iter().map(|f| WordView::frame(f, w)).collect();
@@ -252,67 +229,16 @@ fn reclaim(recycle: Option<WordSet>, w: usize, h: usize) -> Vec<Option<Vec<i64>>
     }
 }
 
-// -- rect evaluation --------------------------------------------------------
+// -- row evaluation ---------------------------------------------------------
 
-/// Integer twin of [`crate::vm::eval_rect`]: interior spans through the
-/// format's lane kernels, border pixels scalar through `apply_unary` /
-/// `apply_binary` — bit-identical by construction (the lane kernels are
-/// property-tested against the scalar ops element-wise).
-#[allow(clippy::too_many_arguments)]
-fn eval_rect_q(
-    kernel: &QuantizedKernel,
-    srcs: &[WordView<'_>],
-    (w, h): (usize, usize),
-    border: BorderMode,
-    braw: i64,
-    (rx0, ry0, rx1, ry1): (i64, i64, i64, i64),
-    dst: &mut RectOutQ<'_>,
-    scratch: &mut ScratchQ,
-) {
-    if isl_telemetry::enabled() {
-        crate::metrics::tally_qinstrs(&kernel.code, ((rx1 - rx0 + 1) * (ry1 - ry0 + 1)) as u64);
-    }
-    let fmt = kernel.format();
-    let halo = kernel.halo();
-    let xlo = rx0.max(i64::from(halo.left));
-    let xhi = rx1.min(w as i64 - 1 - i64::from(halo.right));
-    let ylo = ry0.max(i64::from(halo.up));
-    let yhi = ry1.min(h as i64 - 1 - i64::from(halo.down));
-    scratch.ensure(kernel.len());
-    let res = kernel.result as usize;
-    for y in ry0..=ry1 {
-        let row = ((y - dst.oy) as usize) * dst.stride;
-        let at = |x: i64| row + (x - dst.ox) as usize;
-        if (ylo..=yhi).contains(&y) && xlo <= xhi {
-            for x in rx0..xlo {
-                eval_pixel_q(&kernel.code, fmt, srcs, border, braw, (w, h), x, y, &mut scratch.regs);
-                dst.data[at(x)] = scratch.regs[res];
-            }
-            let mut x0 = xlo;
-            while x0 <= xhi {
-                let len = (xhi - x0 + 1).min(SPAN as i64) as usize;
-                eval_span_q(&kernel.code, fmt, srcs, y, x0, len, &mut scratch.lanes);
-                dst.data[at(x0)..at(x0) + len]
-                    .copy_from_slice(&scratch.lanes[res * len..(res + 1) * len]);
-                x0 += len as i64;
-            }
-            for x in (xhi + 1)..=rx1 {
-                eval_pixel_q(&kernel.code, fmt, srcs, border, braw, (w, h), x, y, &mut scratch.regs);
-                dst.data[at(x)] = scratch.regs[res];
-            }
-        } else {
-            for x in rx0..=rx1 {
-                eval_pixel_q(&kernel.code, fmt, srcs, border, braw, (w, h), x, y, &mut scratch.regs);
-                dst.data[at(x)] = scratch.regs[res];
-            }
-        }
-    }
-}
-
-/// Multi-output twin of [`eval_rect_q`] for the fused whole-frame program:
-/// one instruction-stream pass per span writes **every** dynamic field's
-/// band. Always covers full rows (`x ∈ [0, w)`) of a band anchored at row
-/// `oy`; `outs[k]` is the band of the `k`-th entry of `step.outputs()`.
+/// Multi-output integer twin of `vm::eval_rows` for the fused whole-frame
+/// program: interior spans through the format's lane kernels, border pixels
+/// scalar through `apply_unary` / `apply_binary` — bit-identical by
+/// construction (the lane kernels are property-tested against the scalar
+/// ops element-wise). One instruction-stream pass per span writes **every**
+/// dynamic field's band. Always covers full rows (`x ∈ [0, w)`) of a band
+/// anchored at row `oy`; `outs[k]` is the band of the `k`-th entry of
+/// `step.outputs()`.
 #[allow(clippy::too_many_arguments)]
 fn eval_rect_step_q(
     step: &QuantizedStep,
@@ -385,7 +311,7 @@ fn pixel_step_q(
     }
 }
 
-/// Evaluate a quantised program (single- or multi-output) over the
+/// Evaluate a quantised multi-output program over the
 /// statically in-bounds span `[x0, x0 + len)` of row `y`, one format lane
 /// kernel per instruction; callers read result registers out of `scratch`.
 fn eval_span_q(
@@ -405,8 +331,7 @@ fn eval_span_q(
             QInstr::Const(v) => dst.fill(v),
             QInstr::Input { field, dx, dy } => {
                 let s = &srcs[field as usize];
-                let base = (y + i64::from(dy) - s.oy) * s.stride as i64
-                    + (x0 + i64::from(dx) - s.ox);
+                let base = (y + i64::from(dy)) * s.stride as i64 + x0 + i64::from(dx);
                 let base = usize::try_from(base).expect("interior read in bounds");
                 dst.copy_from_slice(&s.data[base..base + len]);
             }
@@ -471,10 +396,11 @@ fn eval_pixel_q(
     }
 }
 
-// -- tiled (cone-architecture) level execution ------------------------------
+// -- tile-banded level execution -----------------------------------------------
 
-/// Shared frame of the quantised tile-banded level executors — the integer
-/// twin of `vm::banded_level`.
+/// Shared frame of the quantised banded executors (row bands of the
+/// whole-frame step, tile-row bands of the cone levels) — the integer twin
+/// of `vm::banded_level`.
 fn banded_level_q<F>(
     state: &WordSet,
     dyn_fields: &[usize],
@@ -508,133 +434,6 @@ where
         width: w,
         height: h,
         frames: next,
-    }
-}
-
-/// One quantised tiled level — the engine behind
-/// [`crate::Simulator::run_tiled_quantized`]. Integer twin of
-/// [`crate::vm::tiled_level_compiled`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tiled_level_quantized(
-    qp: &QuantizedPattern,
-    state: &WordSet,
-    border: BorderMode,
-    threads: usize,
-    (tw, th): (i64, i64),
-    d: u32,
-    r: i64,
-    recycle: Option<WordSet>,
-) -> WordSet {
-    let _span = isl_telemetry::span("engine", "tiled level q");
-    let (w, h) = (state.width(), state.height());
-    let braw = border_raw(border, qp.format());
-    let (dyn_fields, dyn_slot) = dyn_slot_map(
-        qp.field_count(),
-        (0..qp.field_count()).filter(|&i| qp.kernel(i).is_some()),
-    );
-    let work = w * h * qp.total_instructions() * d as usize;
-    let t = tile_banding(h, th as usize, threads, work);
-    banded_level_q(state, &dyn_fields, th as usize, t, recycle, |row0, slices| {
-        let max_halo = r * i64::from(d.saturating_sub(1));
-        let cap = ((tw + 2 * max_halo) * (th + 2 * max_halo)) as usize;
-        let mut ping: Vec<Vec<i64>> = dyn_fields.iter().map(|_| vec![0i64; cap]).collect();
-        let mut pong = ping.clone();
-        let mut scratch = ScratchQ::default();
-        let rows = slices[0].len() / w;
-        let mut ty = row0 as i64;
-        while ty < (row0 + rows) as i64 {
-            let mut tx = 0;
-            while tx < w as i64 {
-                tile_quantized(
-                    qp,
-                    &dyn_fields,
-                    &dyn_slot,
-                    state,
-                    border,
-                    braw,
-                    (tx, ty),
-                    (tw, th),
-                    (d, r),
-                    (&mut ping, &mut pong),
-                    &mut scratch,
-                    (slices, row0),
-                );
-                tx += tw;
-            }
-            ty += th;
-        }
-    })
-}
-
-/// Compute one tile through `d` quantised levels over ping/pong word halo
-/// buffers; the top level writes straight into the caller's output band.
-#[allow(clippy::too_many_arguments)]
-fn tile_quantized(
-    qp: &QuantizedPattern,
-    dyn_fields: &[usize],
-    dyn_slot: &[Option<usize>],
-    state: &WordSet,
-    border: BorderMode,
-    braw: i64,
-    (tx, ty): (i64, i64),
-    (tw, th): (i64, i64),
-    (d, r): (u32, i64),
-    (ping, pong): (&mut [Vec<i64>], &mut [Vec<i64>]),
-    scratch: &mut ScratchQ,
-    (slices, row0): (&mut [&mut [i64]], usize),
-) {
-    let (w, h) = (state.width(), state.height());
-    let (wi, hi) = (w as i64, h as i64);
-    let rect = |l: u32| -> (i64, i64, i64, i64) {
-        let halo = r * i64::from(d - l);
-        (
-            (tx - halo).max(0),
-            (ty - halo).max(0),
-            (tx + tw - 1 + halo).min(wi - 1),
-            (ty + th - 1 + halo).min(hi - 1),
-        )
-    };
-    let mut prev_rect = rect(0);
-    for l in 1..=d {
-        let (nx0, ny0, nx1, ny1) = rect(l);
-        let nbw = (nx1 - nx0 + 1) as usize;
-        let (px0, py0, px1, _py1) = prev_rect;
-        let pbw = (px1 - px0 + 1) as usize;
-        for (di, &fi) in dyn_fields.iter().enumerate() {
-            let kernel = qp.kernel(fi).expect("dynamic field has a kernel");
-            let srcs: Vec<WordView<'_>> = state
-                .frames
-                .iter()
-                .enumerate()
-                .map(|(f, frame)| match dyn_slot[f] {
-                    Some(ds) if l > 1 => WordView::buffer(&ping[ds], px0, py0, pbw),
-                    _ => WordView::frame(frame, w),
-                })
-                .collect();
-            if l == d {
-                let mut dst = RectOutQ {
-                    data: &mut *slices[di],
-                    ox: 0,
-                    oy: row0 as i64,
-                    stride: w,
-                };
-                eval_rect_q(kernel, &srcs, (w, h), border, braw, (nx0, ny0, nx1, ny1), &mut dst, scratch);
-            } else {
-                let mut dst = RectOutQ {
-                    data: &mut pong[di],
-                    ox: nx0,
-                    oy: ny0,
-                    stride: nbw,
-                };
-                eval_rect_q(kernel, &srcs, (w, h), border, braw, (nx0, ny0, nx1, ny1), &mut dst, scratch);
-            }
-        }
-        if l < d {
-            for (a, b) in ping.iter_mut().zip(pong.iter_mut()) {
-                std::mem::swap(a, b);
-            }
-            prev_rect = (nx0, ny0, nx1, ny1);
-        }
     }
 }
 

@@ -13,15 +13,10 @@
 //!   with full [`BorderMode`] resolution — identical semantics to
 //!   [`isl_ir::Expr::eval`], paid only on the frame perimeter.
 //!
-//! The same three-plane machinery is reused for the cone-architecture paths:
-//! reads go through [`SrcView`]s, which present whole frames *and* tile halo
-//! buffers uniformly (a frame is just a buffer anchored at the origin), so
-//! [`eval_rect`] can run a kernel over any rectangle of any level of a tiled
-//! cone — that is the engine behind [`crate::Simulator::run_tiled`]. Cone
-//! DAGs lowered by [`crate::compile::CompiledCone`] execute per window tile,
-//! with interior tiles batched into structure-of-arrays *lanes* (one lane
-//! per tile, gathers strided by the window width) and edge tiles evaluated
-//! scalar with border resolution — the engine behind
+//! Cone DAGs lowered by [`crate::compile::CompiledCone`] execute per window
+//! tile, with interior tiles batched into structure-of-arrays *lanes* (one
+//! lane per tile, gathers strided by the window width) and edge tiles
+//! evaluated with border resolution — the engine behind
 //! [`crate::Simulator::run_cone_dag`].
 //!
 //! Output allocations are **recycled**: steps accept the retiring frame set
@@ -30,9 +25,9 @@
 //! the allocator per step.
 //!
 //! Interior rows are distributed over persistent pool workers in contiguous
-//! bands, and the tiled/cone paths over contiguous bands of whole *tile*
-//! rows ([`crate::parallel`]); every band writes a disjoint region, so
-//! results are bit-identical for any thread count.
+//! bands, and cone levels over contiguous bands of whole *tile* rows
+//! ([`crate::parallel`]); every band writes a disjoint region, so results
+//! are bit-identical for any thread count.
 
 use std::sync::Arc;
 
@@ -56,60 +51,9 @@ pub(crate) const LANE_SCRATCH: usize = 1 << 16;
 /// thread mode — even pool dispatch cost would dominate.
 pub(crate) const PARALLEL_WORK_THRESHOLD: usize = 100_000;
 
-// -- source views -----------------------------------------------------------
-
-/// A read-only view of one field's samples: a row-major buffer whose first
-/// sample sits at frame coordinate `(ox, oy)`. Whole frames and tile halo
-/// buffers are the same thing under this view, which is what lets one
-/// evaluator serve the whole-frame and the cone-architecture paths.
-#[derive(Clone, Copy)]
-pub(crate) struct SrcView<'a> {
-    data: &'a [f64],
-    ox: i64,
-    oy: i64,
-    stride: usize,
-}
-
-impl<'a> SrcView<'a> {
-    /// View a whole frame (anchored at the origin).
-    pub(crate) fn frame(f: &'a Frame) -> Self {
-        SrcView {
-            data: f.as_slice(),
-            ox: 0,
-            oy: 0,
-            stride: f.width(),
-        }
-    }
-
-    /// View a halo buffer anchored at `(ox, oy)` with row length `stride`.
-    pub(crate) fn buffer(data: &'a [f64], ox: i64, oy: i64, stride: usize) -> Self {
-        SrcView { data, ox, oy, stride }
-    }
-
-    /// Read at frame coordinates known to lie inside the view.
-    #[inline]
-    fn get(&self, x: i64, y: i64) -> f64 {
-        let idx = (y - self.oy) as usize * self.stride + (x - self.ox) as usize;
-        self.data[idx]
-    }
-
-    /// Border-resolved read at frame coordinates `(x, y)` of a `w × h`
-    /// frame. The resolved coordinate must lie inside the view — guaranteed
-    /// for whole-frame views, and for halo buffers by border locality (the
-    /// tiled executor rejects wrap borders).
-    fn sample(&self, x: i64, y: i64, w: i64, h: i64, border: BorderMode) -> f64 {
-        match (border.resolve(x, w), border.resolve(y, h)) {
-            (Some(rx), Some(ry)) => self.get(rx, ry),
-            _ => border
-                .constant_value()
-                .expect("resolve returns None only for Constant"),
-        }
-    }
-}
-
-/// Reusable per-worker scratch of the rect evaluator.
+/// Reusable per-worker scratch of the row evaluator.
 #[derive(Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     lanes: Vec<f64>,
     regs: Vec<f64>,
 }
@@ -119,15 +63,6 @@ impl Scratch {
         self.lanes.resize(instrs.max(1) * SPAN, 0.0);
         self.regs.resize(instrs.max(1), 0.0);
     }
-}
-
-/// The destination of a rect evaluation: a row-major buffer whose first
-/// sample sits at frame coordinate `(ox, oy)`.
-pub(crate) struct RectOut<'a> {
-    pub(crate) data: &'a mut [f64],
-    pub(crate) ox: i64,
-    pub(crate) oy: i64,
-    pub(crate) stride: usize,
 }
 
 // -- whole-frame stepping ---------------------------------------------------
@@ -217,80 +152,73 @@ fn eval_field(
     };
     let mut out = reuse.unwrap_or_else(|| vec![0.0; w * h]);
     debug_assert_eq!(out.len(), w * h);
-    let srcs: Vec<SrcView<'_>> = frames.iter().map(|f| SrcView::frame(f)).collect();
     for_each_row_band(&mut out, w, threads, |y0, band| {
         let rows = band.len() / w;
         let mut scratch = Scratch::default();
-        let mut dst = RectOut {
-            data: band,
-            ox: 0,
-            oy: y0 as i64,
-            stride: w,
-        };
-        eval_rect(
+        eval_rows(
             kernel,
-            &srcs,
+            frames,
             (w, h),
             border,
-            (0, y0 as i64, w as i64 - 1, (y0 + rows) as i64 - 1),
-            &mut dst,
+            (y0 as i64, (y0 + rows) as i64 - 1),
+            band,
+            y0 as i64,
             &mut scratch,
         );
     });
     out
 }
 
-// -- rect evaluation --------------------------------------------------------
+// -- row evaluation ---------------------------------------------------------
 
-/// Evaluate `kernel` at every element of `rect` (frame coordinates,
-/// inclusive), reading fields through `srcs` with `border` resolved at
-/// absolute frame coordinates, writing into `dst`. The interior portion of
-/// the rect (where every tap is statically in-frame) runs as vectorised
-/// row spans; the rest falls back to per-pixel evaluation.
-pub(crate) fn eval_rect(
+/// Evaluate `kernel` at every element of rows `ry0..=ry1` (inclusive),
+/// reading `frames` with `border` resolved at frame
+/// coordinates, writing into `out`, a band of whole rows whose first row is
+/// `oy`. The interior portion of each row (where every tap is statically
+/// in-frame) runs as vectorised spans; the rest falls back to per-pixel
+/// evaluation.
+#[allow(clippy::too_many_arguments)]
+fn eval_rows(
     kernel: &CompiledKernel,
-    srcs: &[SrcView<'_>],
+    frames: &[&Frame],
     (w, h): (usize, usize),
     border: BorderMode,
-    (rx0, ry0, rx1, ry1): (i64, i64, i64, i64),
-    dst: &mut RectOut<'_>,
+    (ry0, ry1): (i64, i64),
+    out: &mut [f64],
+    oy: i64,
     scratch: &mut Scratch,
 ) {
     if isl_telemetry::enabled() {
-        crate::metrics::tally_instrs(&kernel.code, ((rx1 - rx0 + 1) * (ry1 - ry0 + 1)) as u64);
+        crate::metrics::tally_instrs(&kernel.code, (w as i64 * (ry1 - ry0 + 1)) as u64);
     }
     let halo = kernel.halo();
-    // Frame-interior coordinate range clipped to the rect (inclusive).
-    let xlo = rx0.max(i64::from(halo.left));
-    let xhi = rx1.min(w as i64 - 1 - i64::from(halo.right));
+    // Frame-interior coordinate range (inclusive).
+    let xlo = i64::from(halo.left);
+    let xhi = w as i64 - 1 - i64::from(halo.right);
     let ylo = ry0.max(i64::from(halo.up));
     let yhi = ry1.min(h as i64 - 1 - i64::from(halo.down));
     scratch.ensure(kernel.len());
     for y in ry0..=ry1 {
-        let row = ((y - dst.oy) as usize) * dst.stride;
-        let at = |x: i64| row + (x - dst.ox) as usize;
+        let row = ((y - oy) as usize) * w;
         if (ylo..=yhi).contains(&y) && xlo <= xhi {
-            for x in rx0..xlo {
-                dst.data[at(x)] =
-                    eval_pixel(kernel, srcs, border, (w, h), x, y, &mut scratch.regs);
+            for x in 0..xlo {
+                out[row + x as usize] = eval_pixel(kernel, frames, border, x, y, &mut scratch.regs);
             }
             let mut x0 = xlo;
             while x0 <= xhi {
                 let len = (xhi - x0 + 1).min(SPAN as i64) as usize;
-                eval_span(kernel, srcs, y, x0, len, &mut scratch.lanes);
+                eval_span(kernel, frames, y, x0, len, &mut scratch.lanes);
                 let res = kernel.result as usize;
-                dst.data[at(x0)..at(x0) + len]
-                    .copy_from_slice(&scratch.lanes[res * len..(res + 1) * len]);
+                let at = row + x0 as usize;
+                out[at..at + len].copy_from_slice(&scratch.lanes[res * len..(res + 1) * len]);
                 x0 += len as i64;
             }
-            for x in (xhi + 1)..=rx1 {
-                dst.data[at(x)] =
-                    eval_pixel(kernel, srcs, border, (w, h), x, y, &mut scratch.regs);
+            for x in (xhi + 1)..w as i64 {
+                out[row + x as usize] = eval_pixel(kernel, frames, border, x, y, &mut scratch.regs);
             }
         } else {
-            for x in rx0..=rx1 {
-                dst.data[at(x)] =
-                    eval_pixel(kernel, srcs, border, (w, h), x, y, &mut scratch.regs);
+            for x in 0..w as i64 {
+                out[row + x as usize] = eval_pixel(kernel, frames, border, x, y, &mut scratch.regs);
             }
         }
     }
@@ -300,7 +228,7 @@ pub(crate) fn eval_rect(
 /// of row `y`. `scratch` holds one `len`-wide lane per instruction.
 fn eval_span(
     kernel: &CompiledKernel,
-    srcs: &[SrcView<'_>],
+    frames: &[&Frame],
     y: i64,
     x0: i64,
     len: usize,
@@ -313,11 +241,10 @@ fn eval_span(
         match *instr {
             Instr::Const(v) => dst.fill(v),
             Instr::Input { field, dx, dy } => {
-                let s = &srcs[field as usize];
-                let base = (y + i64::from(dy) - s.oy) * s.stride as i64
-                    + (x0 + i64::from(dx) - s.ox);
+                let f = frames[field as usize];
+                let base = (y + i64::from(dy)) * f.width() as i64 + x0 + i64::from(dx);
                 let base = usize::try_from(base).expect("interior read in bounds");
-                dst.copy_from_slice(&s.data[base..base + len]);
+                dst.copy_from_slice(&f.as_slice()[base..base + len]);
             }
             Instr::Unary { op, a } => unary_span(op, lane(a), dst),
             Instr::Binary { op, a, b } => binary_span(op, lane(a), lane(b), dst),
@@ -367,12 +294,11 @@ fn binary_span(op: BinaryOp, a: &[f64], b: &[f64], dst: &mut [f64]) {
 }
 
 /// Per-pixel program evaluation with full border resolution — used for the
-/// border strips and for rects with no interior at all.
+/// border strips and for rows with no interior at all.
 fn eval_pixel(
     kernel: &CompiledKernel,
-    srcs: &[SrcView<'_>],
+    frames: &[&Frame],
     border: BorderMode,
-    (w, h): (usize, usize),
     x: i64,
     y: i64,
     regs: &mut [f64],
@@ -380,13 +306,9 @@ fn eval_pixel(
     for (i, instr) in kernel.code.iter().enumerate() {
         regs[i] = match *instr {
             Instr::Const(c) => c,
-            Instr::Input { field, dx, dy } => srcs[field as usize].sample(
-                x + i64::from(dx),
-                y + i64::from(dy),
-                w as i64,
-                h as i64,
-                border,
-            ),
+            Instr::Input { field, dx, dy } => {
+                frames[field as usize].sample(x + i64::from(dx), y + i64::from(dy), border)
+            }
             Instr::Unary { op, a } => op.apply(regs[a as usize]),
             Instr::Binary { op, a, b } => op.apply(regs[a as usize], regs[b as usize]),
             Instr::Select { c, t, e } => {
@@ -401,7 +323,7 @@ fn eval_pixel(
     regs[kernel.result as usize]
 }
 
-// -- tiled (cone-architecture) level execution ------------------------------
+// -- tile-banded level execution -----------------------------------------------
 
 /// Dense dynamic-slot mapping: the dynamic field ids in first-appearance
 /// order, plus the inverse `field id → slot` table — so per-read lookups
@@ -492,140 +414,6 @@ where
         next[fi] = Arc::new(Frame::from_vec(w, h, data));
     }
     FrameSet::from_shared(next).expect("shapes preserved")
-}
-
-/// One compiled tiled level: apply depth-`d` cones of the pattern's kernels
-/// over every `window` tile of the frame — the engine behind
-/// [`crate::Simulator::run_tiled`]. Bit-identical to the tree-walking
-/// reference level for every local border mode and thread count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tiled_level_compiled(
-    cp: &CompiledPattern,
-    state: &FrameSet,
-    border: BorderMode,
-    threads: usize,
-    (tw, th): (i64, i64),
-    d: u32,
-    r: i64,
-    recycle: Option<FrameSet>,
-) -> FrameSet {
-    let _span = isl_telemetry::span("engine", "tiled level f64");
-    let (w, h) = (state.width(), state.height());
-    let (dyn_fields, dyn_slot) = dyn_slot_map(
-        cp.field_count(),
-        (0..cp.field_count()).filter(|&i| cp.kernel(i).is_some()),
-    );
-    let frames: Vec<&Frame> = state.frames().iter().map(Arc::as_ref).collect();
-    let work = w * h * cp.total_instructions() * d as usize;
-    let t = tile_banding(h, th as usize, threads, work);
-    banded_level(state, &dyn_fields, th as usize, t, recycle, |row0, slices| {
-        // Per-worker halo buffers (ping/pong) sized for the largest
-        // intermediate level, plus span scratch — reused across tiles.
-        let max_halo = r * i64::from(d.saturating_sub(1));
-        let cap = ((tw + 2 * max_halo) * (th + 2 * max_halo)) as usize;
-        let mut ping: Vec<Vec<f64>> = dyn_fields.iter().map(|_| vec![0.0; cap]).collect();
-        let mut pong = ping.clone();
-        let mut scratch = Scratch::default();
-        let rows = slices[0].len() / w;
-        let mut ty = row0 as i64;
-        while ty < (row0 + rows) as i64 {
-            let mut tx = 0;
-            while tx < w as i64 {
-                tile_compiled(
-                    cp,
-                    &dyn_fields,
-                    &dyn_slot,
-                    &frames,
-                    (w, h),
-                    border,
-                    (tx, ty),
-                    (tw, th),
-                    (d, r),
-                    (&mut ping, &mut pong),
-                    &mut scratch,
-                    (slices, row0),
-                );
-                tx += tw;
-            }
-            ty += th;
-        }
-    })
-}
-
-/// Compute one tile through `d` compiled levels. Levels `1..d` evaluate into
-/// ping/pong halo buffers; the top level writes straight into the caller's
-/// output band.
-#[allow(clippy::too_many_arguments)]
-fn tile_compiled(
-    cp: &CompiledPattern,
-    dyn_fields: &[usize],
-    dyn_slot: &[Option<usize>],
-    frames: &[&Frame],
-    (w, h): (usize, usize),
-    border: BorderMode,
-    (tx, ty): (i64, i64),
-    (tw, th): (i64, i64),
-    (d, r): (u32, i64),
-    (ping, pong): (&mut [Vec<f64>], &mut [Vec<f64>]),
-    scratch: &mut Scratch,
-    (slices, row0): (&mut [&mut [f64]], usize),
-) {
-    let (wi, hi) = (w as i64, h as i64);
-    // Level extents, clipped to the frame: level `l` needs the tile grown
-    // by radius × (d − l).
-    let rect = |l: u32| -> (i64, i64, i64, i64) {
-        let halo = r * i64::from(d - l);
-        (
-            (tx - halo).max(0),
-            (ty - halo).max(0),
-            (tx + tw - 1 + halo).min(wi - 1),
-            (ty + th - 1 + halo).min(hi - 1),
-        )
-    };
-    let mut prev_rect = rect(0);
-    for l in 1..=d {
-        let (nx0, ny0, nx1, ny1) = rect(l);
-        let nbw = (nx1 - nx0 + 1) as usize;
-        let (px0, py0, px1, _py1) = prev_rect;
-        let pbw = (px1 - px0 + 1) as usize;
-        for (di, &fi) in dyn_fields.iter().enumerate() {
-            let kernel = cp.kernel(fi).expect("dynamic field has a kernel");
-            // Level 1 reads iteration-`i` data straight from the frames
-            // (the reference's level-0 buffers are verbatim copies of it);
-            // deeper levels read the previous level's halo buffers.
-            let srcs: Vec<SrcView<'_>> = frames
-                .iter()
-                .enumerate()
-                .map(|(f, frame)| match dyn_slot[f] {
-                    Some(ds) if l > 1 => SrcView::buffer(&ping[ds], px0, py0, pbw),
-                    _ => SrcView::frame(frame),
-                })
-                .collect();
-            if l == d {
-                let mut dst = RectOut {
-                    data: &mut *slices[di],
-                    ox: 0,
-                    oy: row0 as i64,
-                    stride: w,
-                };
-                eval_rect(kernel, &srcs, (w, h), border, (nx0, ny0, nx1, ny1), &mut dst, scratch);
-            } else {
-                let mut dst = RectOut {
-                    data: &mut pong[di],
-                    ox: nx0,
-                    oy: ny0,
-                    stride: nbw,
-                };
-                eval_rect(kernel, &srcs, (w, h), border, (nx0, ny0, nx1, ny1), &mut dst, scratch);
-            }
-        }
-        if l < d {
-            for (a, b) in ping.iter_mut().zip(pong.iter_mut()) {
-                std::mem::swap(a, b);
-            }
-            prev_rect = (nx0, ny0, nx1, ny1);
-        }
-    }
 }
 
 // -- cone-DAG level execution -----------------------------------------------

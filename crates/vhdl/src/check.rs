@@ -76,20 +76,11 @@ fn is_builtin(word: &str) -> bool {
     KEYWORDS.contains(&w.as_str()) || w.starts_with("fx_") || w.parse::<i64>().is_ok()
 }
 
-fn words(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    for c in line.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            cur.push(c);
-        } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    out
+/// The identifier-like tokens of `line` (maximal runs of ASCII
+/// alphanumerics and `_`), borrowed from it.
+fn words(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -101,16 +92,13 @@ fn strip_comment(line: &str) -> &str {
 
 /// Count block openers vs `end` tokens over the whole source.
 fn block_balance(code: &str) -> (i64, i64) {
-    let mut tokens: Vec<String> = Vec::new();
-    for line in code.lines() {
-        tokens.extend(words(strip_comment(line)));
-    }
+    let tokens: Vec<&str> = code.lines().flat_map(|l| words(strip_comment(l))).collect();
     let mut opens = 0i64;
     let mut ends = 0i64;
-    for (i, w) in tokens.iter().enumerate() {
-        let prev = if i > 0 { tokens[i - 1].as_str() } else { "" };
-        let next = tokens.get(i + 1).map(String::as_str).unwrap_or("");
-        match w.as_str() {
+    for (i, &w) in tokens.iter().enumerate() {
+        let prev = if i > 0 { tokens[i - 1] } else { "" };
+        let next = tokens.get(i + 1).copied().unwrap_or("");
+        match w {
             "end" => ends += 1,
             // `entity work.X` in an instantiation is a reference, not an opener.
             "entity" if prev != "end" && next != "work" => opens += 1,
@@ -203,22 +191,21 @@ pub fn validate(code: &str) -> Result<VhdlStructure, CheckError> {
         }
         assignments += 1;
         let lhs_name = words(lhs)
-            .into_iter()
             .next()
             .ok_or_else(|| CheckError::Malformed(format!("empty assignment target: {line}")))?;
-        if in_ports.contains(&lhs_name) {
-            return Err(CheckError::InputDriven(lhs_name));
+        if in_ports.contains(lhs_name) {
+            return Err(CheckError::InputDriven(lhs_name.into()));
         }
-        if !signals.contains(&lhs_name) && !out_ports.contains(&lhs_name) {
-            return Err(CheckError::Undeclared(lhs_name));
+        if !signals.contains(lhs_name) && !out_ports.contains(lhs_name) {
+            return Err(CheckError::Undeclared(lhs_name.into()));
         }
-        *drivers.entry(lhs_name).or_insert(0) += 1;
+        *drivers.entry(lhs_name.into()).or_insert(0) += 1;
         for w in words(rhs) {
-            if is_builtin(&w) {
+            if is_builtin(w) {
                 continue;
             }
-            if !signals.contains(&w) && !in_ports.contains(&w) && !out_ports.contains(&w) {
-                return Err(CheckError::Undeclared(w));
+            if !signals.contains(w) && !in_ports.contains(w) && !out_ports.contains(w) {
+                return Err(CheckError::Undeclared(w.into()));
             }
         }
     }

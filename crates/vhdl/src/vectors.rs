@@ -149,10 +149,9 @@ impl VectorFile {
                         .next()
                         .and_then(|s| s.parse().ok())
                         .ok_or_else(|| bad("format: missing frac"))?;
-                    // 63, not 64: a limit from before the raw-word
-                    // datapath widened its rails to `i128`; a 64-bit file
-                    // is still refused.
-                    if w == 0 || w > 63 || f >= w {
+                    // Raw words are `i64`, so 64 bits is the widest
+                    // format a file can carry.
+                    if w == 0 || w > 64 || f >= w {
                         return Err(bad(&format!("format: invalid Q format {w}/{f}")));
                     }
                     format = Some(FixedFormat::new(w, f));
@@ -336,9 +335,14 @@ mod tests {
 
     #[test]
     fn rejects_formats_wider_than_raw_words() {
-        // width 64 would overflow every i64 raw-word consumer downstream.
+        // 64 bits is exactly an i64 raw word: accepted, and lossless.
         let text = sample().to_text().replace("format 18 10", "format 64 10");
-        assert!(VectorFile::parse(&text).unwrap_err().0.contains("64"));
+        let wide = VectorFile::parse(&text).expect("64-bit format parses");
+        assert_eq!(wide.format, FixedFormat::new(64, 10));
+        assert_eq!(wide.to_text(), text);
+        // 65 bits would not fit an i64 raw word.
+        let text = sample().to_text().replace("format 18 10", "format 65 10");
+        assert!(VectorFile::parse(&text).unwrap_err().0.contains("65"));
     }
 
     #[test]

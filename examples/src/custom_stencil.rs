@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (Window::square(5), 4),
         (Window::rect(6, 3), 2),
     ] {
-        let tiled = sim.run_tiled(&init, session.iterations(), window, depth)?;
+        let tiled = sim.run_tiled_reference(&init, session.iterations(), window, depth)?;
         let diff = golden.max_abs_diff(&tiled);
         worst = worst.max(diff);
         println!("  tiled {window} depth {depth}: max |diff| vs golden = {diff:.2e}");

@@ -28,7 +28,7 @@ use isl_tests::prop::check;
 use isl_hls::analyze::{self, Analysis, WordRange};
 use isl_hls::cosim::{eval_cone_raw_traced, CoSimulator, MaskSchedule};
 use isl_hls::prelude::*;
-use isl_hls::sim::{synthetic, CompiledCone, CompiledPattern, Instr, QuantizedCone, QuantizedPattern};
+use isl_hls::sim::{synthetic, CompiledCone, CompiledPattern, Instr, QuantizedCone, QuantizedStep};
 
 fn corpus_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus"))
@@ -99,21 +99,14 @@ fn corpus_compiles_verify_and_facts_contain_replay() {
         };
 
         let compiled = CompiledPattern::compile(&pattern, &params, true);
-        let quantized = QuantizedPattern::compile(&pattern, &params, fmt);
         for i in 0..pattern.fields().len() {
             if let Some(k) = compiled.kernel(i) {
-                analyze::verify_kernel(k).unwrap_or_else(|e| {
-                    panic!("{}: f64 kernel {i}: {e}", entry.name)
-                });
-            }
-            if let Some(k) = quantized.kernel(i) {
-                analyze::verify_quantized_kernel(k).unwrap_or_else(|e| {
-                    panic!("{}: quantized kernel {i}: {e}", entry.name)
-                });
+                analyze::verify_kernel(k)
+                    .unwrap_or_else(|e| panic!("{}: f64 kernel {i}: {e}", entry.name));
             }
         }
-        analyze::verify_step(quantized.fused())
-            .unwrap_or_else(|e| panic!("{}: fused step: {e}", entry.name));
+        analyze::verify_step(&QuantizedStep::compile(&pattern, &params, fmt))
+            .unwrap_or_else(|e| panic!("{}: quantized step: {e}", entry.name));
 
         let Ok(cone) = Cone::build(&pattern, window, cfg.depth) else {
             continue; // window/depth rejected by cone reach constraints

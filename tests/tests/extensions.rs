@@ -158,7 +158,7 @@ fn convergence_detection_matches_direct_iteration() {
     assert!(fixed.max_abs_diff(&once_more) < eps);
     // And the tiled executor lands on the same fixed point.
     let tiled = sim
-        .run_tiled(&init, report.iterations, Window::square(3), 2)
+        .run_tiled_reference(&init, report.iterations, Window::square(3), 2)
         .unwrap();
     assert!(tiled.max_abs_diff(&fixed) < 1e-9);
 }

@@ -129,6 +129,43 @@ fn restart_replays_full_pipeline_warm() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A certificate at the widest raw word, 64 bits, survives a reopen: its
+/// golden vectors are stored as vector-file text, which a fresh session on
+/// the same store file must parse back rather than skip, so the second
+/// certify builds nothing.
+#[test]
+fn wide_format_certificate_survives_reopen() {
+    let algo = isl_hls::algorithms::gaussian_igf();
+    let init = FrameSet::from_frames(vec![synthetic::noise(12, 9, 3)]).unwrap();
+    let arch = Architecture::new(Window::square(3), 2, 1);
+    let path = store_path("wide-format");
+    std::fs::remove_file(&path).ok();
+    let open = || {
+        IslSession::from_algorithm(&algo)
+            .unwrap()
+            .with_format(FixedFormat::new(64, 40))
+            .with_persistent_store(&path)
+            .unwrap()
+    };
+
+    let first = open();
+    let cert1 = first.certify(&init, arch).unwrap().certificate().clone();
+    assert!(
+        first.checkpoint().unwrap() > 0,
+        "checkpoint must write the certificate"
+    );
+    drop(first);
+
+    let second = open();
+    let cert2 = second.certify(&init, arch).unwrap().certificate().clone();
+    let warm = second.store_stats();
+    assert_eq!(warm.certificates.misses, 0, "reopened store re-certified");
+    assert_eq!(warm.vectors.misses, 0, "reopened store re-recorded vectors");
+    assert_eq!(warm.load_skipped_corrupt, 0);
+    assert_eq!(cert1, cert2);
+    std::fs::remove_file(&path).ok();
+}
+
 /// Corrupting the store file on disk degrades to cold recomputes with
 /// counted skips: the session still opens, still answers, answers are
 /// still bit-identical to a clean run — and the corruption shows up in

@@ -7,10 +7,11 @@
 //!    definitions, at every hardware width up to 64 bits and on the raw
 //!    rails (`i64::MIN` included) where saturation arithmetic is most
 //!    likely to wrap;
-//! 2. the three **compiled quantised engines** (whole-frame,
-//!    tiled-with-halos, cone-DAG lanes) against the tree-walking raw-word
-//!    references, across the width ladder {8, 18, 31, 54, 63, 64}, every
-//!    local border mode and the worker-thread matrix {1, 2, 4}.
+//! 2. the two **compiled quantised engines** (whole-frame, cone-DAG lanes)
+//!    against the tree-walking raw-word references, across the width
+//!    ladder {8, 18, 31, 54, 63, 64}, every local border mode and the
+//!    worker-thread matrix {1, 2, 4}; at the wide end, the tiled tree walk
+//!    against the whole-frame one as well.
 //!
 //! Together with `cosim_props.rs` (which pins the same engines to
 //! `isl-cosim`'s integer VM and `isl_fpga::eval_fixed`), these make the
@@ -189,10 +190,12 @@ fn quantized_whole_frame_matches_reference_across_width_ladder() {
     );
 }
 
-/// The compiled quantised **tiled** and **cone-DAG** engines equal their
-/// tree-walking raw-word references bit-for-bit at the wide end of the
-/// ladder (54, 63 and 64 bits) — the formats whose words no `f64` can
-/// carry, so nothing but the raw word domain could even state the test.
+/// At the wide end of the ladder (54, 63 and 64 bits) — the formats whose
+/// words no `f64` can carry, so nothing but the raw word domain could even
+/// state the test — the **tiled** tree walk equals the whole-frame
+/// raw-word reference (rounding commutes with the tiling), and the
+/// compiled **cone-DAG** engine equals its raw-word reference, bit for
+/// bit.
 #[test]
 fn quantized_tiled_and_cone_dag_match_reference_at_wide_widths() {
     check(
@@ -214,13 +217,13 @@ fn quantized_tiled_and_cone_dag_match_reference_at_wide_widths() {
                 .with_threads(THREAD_MATRIX[rng.usize_in(0, THREAD_MATRIX.len() - 1)]);
             let what =
                 format!("{w}x{h} border {border} window {window} depth {depth} iters {iters} {fmt}");
-            let tiled_ref = sim
+            let whole_ref = sim
+                .run_quantized_reference(&init, iters, fmt)
+                .expect("whole-frame reference runs");
+            let tiled = sim
                 .run_tiled_quantized_reference(&init, iters, window, depth, fmt)
                 .expect("tiled reference runs");
-            let tiled = sim
-                .run_tiled_quantized(&init, iters, window, depth, fmt)
-                .expect("compiled tiled runs");
-            assert_bitwise_eq(&tiled, &tiled_ref, &format!("tiled {what}"));
+            assert_bitwise_eq(&tiled, &whole_ref, &format!("tiled {what}"));
             let dag_ref = sim
                 .run_cone_dag_quantized_reference(&init, iters, window, depth, fmt)
                 .expect("cone reference runs");

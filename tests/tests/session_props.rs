@@ -114,7 +114,7 @@ fn explore_follows_workload_iterations() {
 }
 
 /// The DSE → simulation loop: the fastest explored instance's window/depth
-/// decomposition, run on the tiled engine (borders resolved at every
+/// decomposition, run on the tiled oracle (borders resolved at every
 /// level), equals the golden whole-frame run.
 #[test]
 fn explored_architecture_simulates_to_golden() {
@@ -129,7 +129,7 @@ fn explored_architecture_simulates_to_golden() {
     let sim = session.simulator().unwrap();
     let iterations = session.iterations();
     let by_arch = sim
-        .run_tiled(&init, iterations, best.arch.window, best.arch.depth)
+        .run_tiled_reference(&init, iterations, best.arch.window, best.arch.depth)
         .unwrap();
     let golden = sim.run(&init, iterations).unwrap();
     assert_eq!(by_arch, golden);
@@ -226,13 +226,18 @@ fn stored_artifacts_equal_cold_recompute() {
 
         // Compiled-engine outputs: second run (cached programs + cones)
         // bitwise equals a fresh session's first run.
-        let tiled = |session: &IslSession| {
+        let cone_dag = |session: &IslSession| {
             let sim = session.simulator().unwrap();
-            sim.run_tiled(&init, iterations, window, depth).unwrap()
+            sim.run_cone_dag(&init, iterations, window, depth).unwrap()
         };
-        let a1 = tiled(&warm_session);
-        let a2 = tiled(&warm_session);
-        let b = tiled(&IslSession::from_pattern(pattern.clone(), iterations));
+        let a1 = cone_dag(&warm_session);
+        let programs = warm_session.store_stats().programs.hits;
+        let a2 = cone_dag(&warm_session);
+        assert!(
+            warm_session.store_stats().programs.hits > programs,
+            "warm rerun must be served cached programs"
+        );
+        let b = cone_dag(&IslSession::from_pattern(pattern.clone(), iterations));
         isl_tests::arb::assert_bitwise_eq(&a1, &a2, "warm rerun");
         isl_tests::arb::assert_bitwise_eq(&a1, &b, "warm vs cold session");
 
