@@ -5,28 +5,27 @@
 //! # Soundness contract
 //!
 //! For any concrete execution of the analysed program under the same
-//! format — via the `isl-cosim` VM (`eval_cone_raw`/`eval_cone_raw_traced`
-//! on `Instr` programs) or the quantised engines (`QInstr` programs) —
-//! whose every input read falls inside the declared input interval, the
-//! word each instruction produces is contained in that instruction's
-//! [`AbstractValue`] (interval **and** known bits). The proof obligation
-//! per operation is discharged in [`crate::domain`]: each transfer routes
-//! its endpoint arithmetic through [`FixedFormat::saturate_wide`], the
-//! same clamp the datapath executes.
+//! format — via the `isl-cosim` VM (`eval_cone_raw`/`eval_cone_raw_traced`)
+//! or the quantised lane engines of `isl-sim`, which run the same `Instr`
+//! programs — whose every input read falls inside the declared input
+//! interval, the word each instruction produces is contained in that
+//! instruction's [`AbstractValue`] (interval **and** known bits). The
+//! proof obligation per operation is discharged in [`crate::domain`]: each
+//! transfer routes its endpoint arithmetic through
+//! [`FixedFormat::saturate_wide`], the same clamp the datapath executes.
 //!
-//! Constants differ by program form and the interpreter honours that
-//! difference exactly: an `Instr::Const(v)` is abstracted as
-//! `fmt.quantize(v)` (what the VM computes at execution time), while a
-//! `QInstr::Const(w)` is the already-quantised word `w` itself.
+//! An `Instr::Const(v)` is abstracted as the single word `fmt.quantize(v)`:
+//! the VM and the lane engines both quantise a constant where they read it,
+//! in the format of the run.
 
 use isl_fpga::FixedFormat;
 
-use isl_sim::{CompiledCone, CompiledKernel, QuantizedCone, Reg};
+use isl_sim::{CompiledCone, CompiledKernel, Reg};
 
 use crate::domain::{
     transfer_binary, transfer_select, transfer_unary, AbstractValue, WordRange,
 };
-use crate::program::{decode, decode_q, reconstruct_ssa, Decoded, DecodedOp};
+use crate::program::{decode, reconstruct_ssa, Decoded, DecodedOp};
 use crate::verify::VerifyError;
 
 /// The result of abstractly interpreting one program: per-instruction
@@ -49,10 +48,9 @@ impl Analysis {
         let mut first_overflow = None;
         for (i, d) in ssa.iter().enumerate() {
             let v = match d.op {
-                DecodedOp::ConstF(bits) => {
+                DecodedOp::Const(bits) => {
                     AbstractValue::constant(fmt.quantize(f64::from_bits(bits)))
                 }
-                DecodedOp::ConstRaw(w) => AbstractValue::constant(w),
                 DecodedOp::Input(..) => AbstractValue::input(fmt, input),
                 DecodedOp::Unary(op) => transfer_unary(fmt, op, &facts[d.args[0] as usize]),
                 DecodedOp::Binary(op) => transfer_binary(
@@ -85,8 +83,9 @@ impl Analysis {
         Self::run(&ssa, fmt, input)
     }
 
-    /// Analyse a [`CompiledCone`] (the slot-allocated form the bit-true
-    /// engines and the fault campaigns execute) under `fmt`. The slot
+    /// Analyse a [`CompiledCone`] (compiled with `fold == false`, the
+    /// slot-allocated form the quantised engines, the co-simulation VM and
+    /// the fault campaigns execute) under `fmt`. The slot
     /// program is first lifted back to SSA — which can fail (as
     /// [`VerifyError`]) only on bytecode the verifier would reject.
     pub fn of_cone(
@@ -97,13 +96,6 @@ impl Analysis {
         let code: Vec<Decoded> = c.code().iter().map(decode).collect();
         let ssa = reconstruct_ssa(&code, c.dst(), c.slots())?;
         Ok(Self::run(&ssa, fmt, input))
-    }
-
-    /// Analyse a [`QuantizedCone`] compiled for its own format.
-    pub fn of_quantized_cone(c: &QuantizedCone, input: WordRange) -> Result<Self, VerifyError> {
-        let code: Vec<Decoded> = c.code().iter().map(decode_q).collect();
-        let ssa = reconstruct_ssa(&code, c.dst(), c.slots())?;
-        Ok(Self::run(&ssa, c.format(), input))
     }
 
     /// The fact proven for instruction `i` (same indexing as the

@@ -4,8 +4,8 @@
 //! search measures value ranges from sample frames, and fault campaigns
 //! discover masked/silent instructions by exhaustive injection. This crate
 //! adds the static side — an abstract interpreter over the existing
-//! bytecode ([`isl_sim::Instr`]/[`isl_sim::QInstr`], SSA kernels and
-//! slot-allocated cones alike) with two cooperating domains:
+//! bytecode ([`isl_sim::Instr`], SSA kernels and slot-allocated cones
+//! alike) with two cooperating domains:
 //!
 //! * **intervals in the raw word domain** ([`WordRange`]) — endpoint
 //!   arithmetic widened to `i128` and funnelled through
@@ -47,7 +47,9 @@
 //! and the sign-split division, branch refinement or join for select).
 //! Inputs are assumed in-format (they are produced by `quantize` or by
 //! the datapath itself), and `Instr::Const(v)` abstracts to
-//! `fmt.quantize(v)` — exactly what the co-simulation VM computes.
+//! `fmt.quantize(v)` — exactly what the co-simulation VM and the quantised
+//! lane engines compute, since both run the same fold-free program and
+//! quantise a constant where they read it.
 //!
 //! The verifier and interpreter never execute the program; both are one
 //! `O(n)`/`O(n log n)` forward pass, cheap enough to run after every
@@ -64,8 +66,7 @@ mod verify;
 pub use domain::{AbstractValue, KnownBits, WordRange};
 pub use interp::Analysis;
 pub use verify::{
-    verify_cone, verify_kernel, verify_quantized_cone, verify_slot_program,
-    verify_slot_program_quantized, verify_ssa, verify_ssa_quantized, verify_step, VerifyError,
+    verify_cone, verify_kernel, verify_slot_program, verify_ssa, verify_step, VerifyError,
 };
 
 use isl_sim::compile::ProgramView;
@@ -77,14 +78,13 @@ fn verify_view(view: ProgramView<'_>) -> Result<(), String> {
         ProgramView::Kernel(k) => verify_kernel(k),
         ProgramView::Step(s) => verify_step(s),
         ProgramView::Cone(c) => verify_cone(c),
-        ProgramView::QuantizedCone(c) => verify_quantized_cone(c),
     };
     r.map_err(|e| e.to_string())
 }
 
 /// Install the bytecode verifier as the compiler's debug-assertion hook:
 /// in debug builds every subsequent compile (kernels, steps, cones,
-/// quantised or not) is verified and panics on a finding. Idempotent and
+/// folded or not) is verified and panics on a finding. Idempotent and
 /// cheap to call from every entry point (`IslSession::from_pattern`,
 /// `CoSimulator::new`, the `isl-fuzz` binary); release builds keep the
 /// hook installed but never invoke it.

@@ -1,7 +1,6 @@
-//! A shared decoded instruction representation, so the verifier and the
-//! abstract interpreter are written once over `&[Decoded]` instead of being
-//! generic over [`Instr`] (f64 constants) and [`QInstr`] (raw-word
-//! constants).
+//! A decoded instruction representation, so the verifier and the abstract
+//! interpreter work over `&[Decoded]`: a hashable structural key (an
+//! [`Instr`] holds an `f64`) with uniform operand access.
 //!
 //! Two views exist: **SSA** programs, whose operands are instruction
 //! indices (the compiler's pre-allocation form, and the form the cone
@@ -12,20 +11,17 @@
 //! core of the bytecode verifier.
 
 use isl_ir::{BinaryOp, UnaryOp};
-use isl_sim::{Instr, QInstr};
+use isl_sim::Instr;
 
 use crate::verify::VerifyError;
 
 /// The operation of one decoded instruction (operands live in
-/// [`Decoded::args`]). Constants keep their origin: `ConstF` carries the
-/// f64 **bit pattern** (the CSE key — `0.0`/`-0.0` and NaNs stay distinct)
-/// and `ConstRaw` the pre-quantised word of a quantised program.
+/// [`Decoded::args`]). A constant carries the f64 **bit pattern** (the CSE
+/// key — `0.0`/`-0.0` and NaNs stay distinct).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum DecodedOp {
     /// An f64 constant, keyed by `to_bits()`.
-    ConstF(u64),
-    /// A raw fixed-point word constant.
-    ConstRaw(i64),
+    Const(u64),
     /// Read field `.0` at relative offset `(.1, .2)`.
     Input(u16, i32, i32),
     /// Unary operation on `args[0]`.
@@ -58,25 +54,13 @@ impl Decoded {
 
 pub(crate) fn decode(i: &Instr) -> Decoded {
     match *i {
-        Instr::Const(v) => Decoded::new(DecodedOp::ConstF(v.to_bits()), [0; 3], 0),
+        Instr::Const(v) => Decoded::new(DecodedOp::Const(v.to_bits()), [0; 3], 0),
         Instr::Input { field, dx, dy } => {
             Decoded::new(DecodedOp::Input(field, dx, dy), [0; 3], 0)
         }
         Instr::Unary { op, a } => Decoded::new(DecodedOp::Unary(op), [a, 0, 0], 1),
         Instr::Binary { op, a, b } => Decoded::new(DecodedOp::Binary(op), [a, b, 0], 2),
         Instr::Select { c, t, e } => Decoded::new(DecodedOp::Select, [c, t, e], 3),
-    }
-}
-
-pub(crate) fn decode_q(i: &QInstr) -> Decoded {
-    match *i {
-        QInstr::Const(w) => Decoded::new(DecodedOp::ConstRaw(w), [0; 3], 0),
-        QInstr::Input { field, dx, dy } => {
-            Decoded::new(DecodedOp::Input(field, dx, dy), [0; 3], 0)
-        }
-        QInstr::Unary { op, a } => Decoded::new(DecodedOp::Unary(op), [a, 0, 0], 1),
-        QInstr::Binary { op, a, b } => Decoded::new(DecodedOp::Binary(op), [a, b, 0], 2),
-        QInstr::Select { c, t, e } => Decoded::new(DecodedOp::Select, [c, t, e], 3),
     }
 }
 

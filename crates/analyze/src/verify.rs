@@ -3,14 +3,14 @@
 //! compile (via [`crate::install_debug_verifier`]) and as a standing CI
 //! gate over the fuzz corpus (`isl-fuzz analyze`).
 //!
-//! For **SSA programs** ([`Instr`]/[`QInstr`] with instruction-index
-//! operands) the verifier checks:
+//! For **SSA programs** ([`Instr`] with instruction-index operands) the
+//! verifier checks:
 //!
 //! * topological order — every operand names an earlier instruction;
 //! * root validity — every root indexes into the program;
 //! * **CSE congruence** — no two instructions are structurally identical
-//!   (constants keyed by bit pattern for `f64`, by raw word for quantised
-//!   code: the compiler's value-numbering contract);
+//!   (constants keyed by bit pattern: the compiler's value-numbering
+//!   contract);
 //! * **DCE soundness** — every instruction is reachable from some root
 //!   (multi-root dead-code elimination left nothing dead, and removed
 //!   nothing live, since operands resolve).
@@ -27,9 +27,9 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use isl_sim::{CompiledCone, CompiledKernel, Instr, QInstr, QuantizedCone, QuantizedStep, Reg};
+use isl_sim::{CompiledCone, CompiledKernel, Instr, QuantizedStep, Reg};
 
-use crate::program::{decode, decode_q, reconstruct_ssa, Decoded};
+use crate::program::{decode, reconstruct_ssa, Decoded};
 
 /// A verifier finding: which instruction (when attributable) violated
 /// which contract.
@@ -194,13 +194,6 @@ pub fn verify_ssa(code: &[Instr], roots: &[Reg]) -> Result<(), VerifyError> {
     check_ssa(&d, &roots)
 }
 
-/// Verify an SSA program of [`QInstr`] with the given roots.
-pub fn verify_ssa_quantized(code: &[QInstr], roots: &[Reg]) -> Result<(), VerifyError> {
-    let d: Vec<Decoded> = code.iter().map(decode_q).collect();
-    let roots: Vec<usize> = roots.iter().map(|&r| r as usize).collect();
-    check_ssa(&d, &roots)
-}
-
 /// Verify a slot program of [`Instr`] (a cone form): `dst[i]` is the slot
 /// instruction `i` writes, `output_regs[k]`/`capture[k]`/`retire` the
 /// capture plumbing, `slots` the claimed storage bound.
@@ -216,19 +209,6 @@ pub fn verify_slot_program(
     check_cone(&d, dst, slots, output_regs, capture, retire)
 }
 
-/// Verify a slot program of [`QInstr`] (the quantised cone form).
-pub fn verify_slot_program_quantized(
-    code: &[QInstr],
-    dst: &[Reg],
-    slots: usize,
-    output_regs: &[Reg],
-    capture: &[Reg],
-    retire: &[u32],
-) -> Result<(), VerifyError> {
-    let d: Vec<Decoded> = code.iter().map(decode_q).collect();
-    check_cone(&d, dst, slots, output_regs, capture, retire)
-}
-
 // -- typed wrappers over the compiled program forms ------------------------
 
 /// Verify a [`CompiledKernel`] (SSA, single root).
@@ -239,24 +219,11 @@ pub fn verify_kernel(k: &CompiledKernel) -> Result<(), VerifyError> {
 /// Verify a [`QuantizedStep`] (SSA, one root per dynamic field).
 pub fn verify_step(s: &QuantizedStep) -> Result<(), VerifyError> {
     let roots: Vec<Reg> = s.outputs().iter().map(|&(_, r)| r).collect();
-    verify_ssa_quantized(s.code(), &roots)
+    verify_ssa(s.code(), &roots)
 }
 
 /// Verify a [`CompiledCone`] (slot program + capture/retire plumbing).
 pub fn verify_cone(c: &CompiledCone) -> Result<(), VerifyError> {
     let output_regs: Vec<Reg> = c.outputs().iter().map(|s| s.reg).collect();
     verify_slot_program(c.code(), c.dst(), c.slots(), &output_regs, c.capture(), c.retire())
-}
-
-/// Verify a [`QuantizedCone`] (slot program + capture/retire plumbing).
-pub fn verify_quantized_cone(c: &QuantizedCone) -> Result<(), VerifyError> {
-    let output_regs: Vec<Reg> = c.outputs().iter().map(|s| s.reg).collect();
-    verify_slot_program_quantized(
-        c.code(),
-        c.dst(),
-        c.slots(),
-        &output_regs,
-        c.capture(),
-        c.retire(),
-    )
 }

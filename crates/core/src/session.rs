@@ -27,6 +27,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use isl_algorithms::Algorithm;
+use isl_analyze::{Analysis, WordRange};
 use isl_cosim::CoSimulator;
 use isl_dse::{Calibration, DesignSpace, Exploration};
 use isl_estimate::{
@@ -955,8 +956,9 @@ impl IslSession {
     /// over `init`.
     ///
     /// The search fixes the integer bits from the measured dynamic range of
-    /// the reference run (plus one headroom bit, escalated when
-    /// intermediate saturation shows up in the widest probe) and
+    /// the reference run (plus one headroom bit, escalated while the widest
+    /// probe misses the budget, until the interval analysis proves that
+    /// word saturation-free on every cone shape) and
     /// **binary-searches the fractional bits**: the quantisation error is
     /// monotone non-increasing in `frac` at fixed integer width (up to
     /// per-pixel rounding noise — saturation residue is frac-independent
@@ -966,7 +968,9 @@ impl IslSession {
     /// format and measures its error against the stored exact reference —
     /// bit-identically the `max/rms_quant_error` a full
     /// [`IslSession::certify`] records, since certification measures the
-    /// same engine run. Only the chosen format is then certified in full
+    /// same engine run, and every probe runs the same cached fold-free
+    /// programs, so a search compiles each cone shape at most once. Only
+    /// the chosen format is then certified in full
     /// (its golden vectors recorded and verified word-for-word against the
     /// independent oracle), so a cold search adds one certificate to
     /// the artifact store, or none when that format was already certified.
@@ -1075,12 +1079,35 @@ impl IslSession {
         // widest word misses the budget the error may be dominated by
         // *intermediate saturation* (frame values fit, but e.g. a squared
         // gradient overflows the integer range — a residual the fractional
-        // bits cannot buy back) — trade fractional for integer bits and
-        // retry while that keeps helping. A failure that escalation does
-        // not improve is quantisation-limited: the budget is unreachable
-        // at this width cap, and further escalations would only probe
-        // strictly worse formats.
-        let mut escalations = 0;
+        // bits cannot buy back), and that error is not monotone in the
+        // integer bits — so trade fractional for integer bits and retry.
+        // Stop only on a proof: once the interval analysis shows the widest
+        // word saturation-free on every cone shape of the decomposition,
+        // for inputs over the measured value range, one more integer bit
+        // can only cost precision, and the budget is unreachable at this
+        // width cap. The analysed programs are the cached fold-free cones
+        // the probes just ran.
+        let saturation_free = |fmt: FixedFormat| -> Result<bool, FlowError> {
+            let input = WordRange::new(fmt.quantize(-maxabs), fmt.quantize(maxabs));
+            let mut depths = level_depths(self.spec.iterations, arch.depth);
+            depths.dedup();
+            for d in depths {
+                let cone = self.cone(arch.window, d)?;
+                let program = self.store.programs().cone_program(
+                    &self.spec.pattern,
+                    &cone,
+                    sim.params(),
+                    false,
+                );
+                let analysis = Analysis::of_cone(&program, fmt, input).map_err(|e| {
+                    FlowError::Format(format!("the d{d} cone program fails verification: {e}"))
+                })?;
+                if analysis.first_overflow().is_some() {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        };
         let unreachable_budget = |probes: &[FormatProbe]| -> FlowError {
             let best = probes
                 .iter()
@@ -1103,21 +1130,13 @@ impl IslSession {
             ))
         };
         loop {
-            let p = probe(FixedFormat::new(budget.max_width, budget.max_width - int_bits))?;
-            // Strictly worse than the previous widest probe: the lost
-            // fractional bit cost more than the gained integer bit bought —
-            // quantisation-limited, stop. (Saturation-limited escalations
-            // plateau or improve: a fully saturated region can hold the
-            // max error exactly flat until the range clears it.)
-            let stalled = probes
-                .last()
-                .is_some_and(|prev| p.max_abs_error > prev.max_abs_error);
+            let widest = FixedFormat::new(budget.max_width, budget.max_width - int_bits);
+            let p = probe(widest)?;
             probes.push(p);
             if p.within_budget {
                 break;
             }
-            escalations += 1;
-            if stalled || int_bits + 1 >= budget.max_width || escalations > 16 {
+            if int_bits + 1 >= budget.max_width || saturation_free(widest)? {
                 return Err(unreachable_budget(&probes));
             }
             int_bits += 1;

@@ -57,12 +57,16 @@
 //! performed by the same function the synthesis model and the VHDL support
 //! package define** — quantise on load (round-to-nearest, saturate),
 //! saturate adds, truncate multiplies/divides after widening, comparisons
-//! produce fixed-point `1.0`, selects forward words untouched. The two
-//! quantised engines of `isl-sim` (`run_quantized`,
-//! `run_cone_dag_quantized`) take the same
-//! [`FixedFormat`](isl_fpga::FixedFormat) and run the same contract over
-//! lanes of raw words; this crate runs it scalar-wise, so each side checks
-//! the other bit for bit.
+//! produce fixed-point `1.0`, selects forward words untouched. The VM and
+//! the quantised cone-DAG lane engine of `isl-sim`
+//! (`run_cone_dag_quantized`) run **one program**: the fold-free
+//! [`isl_sim::CompiledCone`] of each cone shape (compilation is
+//! deterministic, so the VM's copy is bit-for-bit the engine's cached
+//! one), with the [`FixedFormat`](isl_fpga::FixedFormat) passed in at run
+//! time and each constant quantised where it is read. The lane engine runs
+//! it over lanes of raw words and this crate runs it scalar-wise, so each
+//! side checks the other's execution bit for bit; the whole-frame engine
+//! (`run_quantized`) runs the same contract over the fused step program.
 //!
 //! ```
 //! use isl_cosim::CoSimulator;

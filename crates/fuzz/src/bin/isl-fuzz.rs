@@ -172,7 +172,7 @@ fn verify_entry(entry: &isl_fuzz::CorpusEntry) -> Result<(usize, usize), String>
             instrs += k.len();
         }
     }
-    let step = isl_sim::QuantizedStep::compile(&pattern, &params, fmt);
+    let step = isl_sim::QuantizedStep::compile(&pattern, &params);
     isl_analyze::verify_step(&step).map_err(|e| format!("quantized step: {e}"))?;
     programs += 1;
     instrs += step.len();
@@ -180,23 +180,20 @@ fn verify_entry(entry: &isl_fuzz::CorpusEntry) -> Result<(usize, usize), String>
     // Cone construction can legitimately reject a window/depth combination
     // (reach constraints); that is a frontend contract, not a bytecode bug.
     if let Ok(cone) = isl_ir::Cone::build(&pattern, window, cfg.depth) {
-        for fold in [false, true] {
-            let cc = isl_sim::CompiledCone::compile_with(&cone, &params, fold);
-            isl_analyze::verify_cone(&cc)
-                .map_err(|e| format!("cone (fold={fold}): {e}"))?;
+        let unfolded = isl_sim::CompiledCone::compile_with(&cone, &params, false);
+        let folded = isl_sim::CompiledCone::compile_with(&cone, &params, true);
+        for (fold, cc) in [(false, &unfolded), (true, &folded)] {
+            isl_analyze::verify_cone(cc).map_err(|e| format!("cone (fold={fold}): {e}"))?;
             programs += 1;
             instrs += cc.len();
         }
-        let qc = isl_sim::QuantizedCone::compile(&cone, &params, fmt);
-        isl_analyze::verify_quantized_cone(&qc).map_err(|e| format!("quantized cone: {e}"))?;
+        // The unfolded cone is the program the quantised engines run.
         let analysis =
-            isl_analyze::Analysis::of_quantized_cone(&qc, isl_analyze::WordRange::full(fmt))
-                .map_err(|e| format!("abstract interpretation of quantized cone: {e}"))?;
+            isl_analyze::Analysis::of_cone(&unfolded, fmt, isl_analyze::WordRange::full(fmt))
+                .map_err(|e| format!("abstract interpretation of the unfolded cone: {e}"))?;
         if analysis.is_empty() {
             return Err("abstract interpretation produced no facts".into());
         }
-        programs += 1;
-        instrs += qc.len();
     }
 
     Ok((programs, instrs))

@@ -17,29 +17,31 @@
 //!   rule at software level;
 //! * **dead-code elimination** — registers orphaned by folding are dropped.
 //!
-//! Execution lives in the crate's VM module; the [`crate::Simulator`]
+//! Programs lowered with folding off keep every operation node, which is
+//! what the quantised engines run: one such program serves every
+//! fixed-point format, since the engines quantise each [`Instr::Const`]
+//! where it is read.
+//!
+//! Execution lives in the crate's VM modules; the [`crate::Simulator`]
 //! compiles lazily and serves programs from a [`ProgramCache`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use isl_fpga::FixedFormat;
 use isl_ir::{BinaryOp, Cone, Expr, FieldKind, Leaf, Node, NodeId, StencilPattern, UnaryOp};
 
 /// A borrowed view of one freshly compiled program, in whichever of the
-/// four forms the compiler emits — what the [compile verifier
+/// three forms the compiler emits — what the [compile verifier
 /// hook](set_compile_verifier) receives.
 #[derive(Clone, Copy)]
 pub enum ProgramView<'a> {
     /// An SSA `f64` kernel ([`CompiledKernel`]).
     Kernel(&'a CompiledKernel),
-    /// A multi-field quantised step program ([`QuantizedStep`]).
+    /// A multi-field fold-free step program ([`QuantizedStep`]).
     Step(&'a QuantizedStep),
-    /// A slot-allocated `f64` cone program ([`CompiledCone`]).
+    /// A slot-allocated cone program ([`CompiledCone`]).
     Cone(&'a CompiledCone),
-    /// A slot-allocated quantised cone program ([`QuantizedCone`]).
-    QuantizedCone(&'a QuantizedCone),
 }
 
 impl ProgramView<'_> {
@@ -49,7 +51,6 @@ impl ProgramView<'_> {
             ProgramView::Kernel(_) => "kernel",
             ProgramView::Step(_) => "quantized step",
             ProgramView::Cone(_) => "cone",
-            ProgramView::QuantizedCone(_) => "quantized cone",
         }
     }
 }
@@ -90,8 +91,11 @@ pub type Reg = u32;
 
 /// One bytecode instruction. Operands always reference earlier instructions
 /// (slots, for slot-allocated cone programs), so a single forward pass
-/// evaluates the whole program. Public so out-of-crate evaluators — the
-/// bit-true integer VM of `isl-cosim` — can execute the same programs.
+/// evaluates the whole program. The one instruction set of every engine:
+/// the `f64` engines execute it on samples, and the quantised engines and
+/// the bit-true integer VM of `isl-cosim` execute a fold-free program on
+/// raw fixed-point words of a format chosen at run time, quantising each
+/// [`Instr::Const`] where it is read.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)] // variant fields are documented on the variants
 pub enum Instr {
@@ -107,30 +111,6 @@ pub enum Instr {
     Select { c: Reg, t: Reg, e: Reg },
 }
 
-/// One instruction of a **quantised** program: the same shape as [`Instr`],
-/// but every value is a raw fixed-point word (`i64`) of one
-/// [`FixedFormat`], and every operation carries the hardware's
-/// rounding/saturation semantics
-/// ([`FixedFormat::apply_unary`]/[`FixedFormat::apply_binary`]) — resolved
-/// at **compile time** into the program variant, so the evaluators run
-/// branch-free saturating lane kernels with no per-op rounding dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // variant fields are documented on the variants
-pub enum QInstr {
-    /// A literal raw word (constants and bound parameters, pre-quantised).
-    Const(i64),
-    /// Read field `field` at relative offset `(dx, dy)` (words are
-    /// quantised at frame load, so a read needs no conversion).
-    Input { field: u16, dx: i32, dy: i32 },
-    /// Fixed-point unary operation on register `a`.
-    Unary { op: UnaryOp, a: Reg },
-    /// Fixed-point binary operation on registers `a`, `b` (saturating
-    /// add/sub, truncating widened mul/div — the `isl_fpga` datapath).
-    Binary { op: BinaryOp, a: Reg, b: Reg },
-    /// `regs[c] != 0 ? regs[t] : regs[e]` on raw words.
-    Select { c: Reg, t: Reg, e: Reg },
-}
-
 /// Structural key used for common-subexpression elimination (constants are
 /// keyed by bit pattern so `-0.0`/`0.0` and NaNs are kept distinct).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,21 +122,12 @@ enum Key {
     Select(Reg, Reg, Reg),
 }
 
-/// Operand access and operand rewriting, shared by the `f64` and quantised
-/// instruction sets so the compiler passes (dead-code elimination, kill-first
-/// scheduling, linear-scan slot allocation) are written once.
-trait Bytecode: Copy {
+/// Operand access and operand rewriting for the compiler passes
+/// (dead-code elimination, kill-first scheduling, linear-scan slot
+/// allocation).
+impl Instr {
     /// Write the operand registers (≤ 3, with multiplicity) into `out`,
     /// returning how many there are.
-    fn operands(&self, out: &mut [Reg; 3]) -> usize;
-    /// The same instruction with every operand register rewritten.
-    fn remap(self, fix: impl Fn(Reg) -> Reg) -> Self;
-    /// The `(field, dx, dy)` of an input tap, if this is one (drives halo
-    /// and reach computation generically).
-    fn tap(&self) -> Option<(u16, i32, i32)>;
-}
-
-impl Bytecode for Instr {
     fn operands(&self, out: &mut [Reg; 3]) -> usize {
         match *self {
             Instr::Const(_) | Instr::Input { .. } => 0,
@@ -178,6 +149,7 @@ impl Bytecode for Instr {
         }
     }
 
+    /// The same instruction with every operand register rewritten.
     fn remap(self, fix: impl Fn(Reg) -> Reg) -> Self {
         match self {
             Instr::Const(_) | Instr::Input { .. } => self,
@@ -195,56 +167,10 @@ impl Bytecode for Instr {
         }
     }
 
+    /// The `(field, dx, dy)` of an input tap, if this is one.
     fn tap(&self) -> Option<(u16, i32, i32)> {
         match *self {
             Instr::Input { field, dx, dy } => Some((field, dx, dy)),
-            _ => None,
-        }
-    }
-}
-
-impl Bytecode for QInstr {
-    fn operands(&self, out: &mut [Reg; 3]) -> usize {
-        match *self {
-            QInstr::Const(_) | QInstr::Input { .. } => 0,
-            QInstr::Unary { a, .. } => {
-                out[0] = a;
-                1
-            }
-            QInstr::Binary { a, b, .. } => {
-                out[0] = a;
-                out[1] = b;
-                2
-            }
-            QInstr::Select { c, t, e } => {
-                out[0] = c;
-                out[1] = t;
-                out[2] = e;
-                3
-            }
-        }
-    }
-
-    fn remap(self, fix: impl Fn(Reg) -> Reg) -> Self {
-        match self {
-            QInstr::Const(_) | QInstr::Input { .. } => self,
-            QInstr::Unary { op, a } => QInstr::Unary { op, a: fix(a) },
-            QInstr::Binary { op, a, b } => QInstr::Binary {
-                op,
-                a: fix(a),
-                b: fix(b),
-            },
-            QInstr::Select { c, t, e } => QInstr::Select {
-                c: fix(c),
-                t: fix(t),
-                e: fix(e),
-            },
-        }
-    }
-
-    fn tap(&self) -> Option<(u16, i32, i32)> {
-        match *self {
-            QInstr::Input { field, dx, dy } => Some((field, dx, dy)),
             _ => None,
         }
     }
@@ -268,9 +194,9 @@ pub struct Halo {
 
 impl Halo {
     /// The per-side read reach of an SSA program's input taps.
-    fn of<I: Bytecode>(code: &[I]) -> Self {
+    fn of(code: &[Instr]) -> Self {
         let mut halo = Halo::default();
-        for (_, dx, dy) in code.iter().filter_map(Bytecode::tap) {
+        for (_, dx, dy) in code.iter().filter_map(Instr::tap) {
             halo.left = halo.left.max(dx.unsigned_abs() * u32::from(dx < 0));
             halo.right = halo.right.max(dx.unsigned_abs() * u32::from(dx > 0));
             halo.up = halo.up.max(dy.unsigned_abs() * u32::from(dy < 0));
@@ -290,9 +216,9 @@ pub struct CompiledKernel {
 
 impl CompiledKernel {
     /// Lower `expr` with `params` bound as constants. With `fold == true`
-    /// constant subexpressions are evaluated at compile time; the quantised
-    /// engine compiles with `fold == false` so that every intermediate value
-    /// still exists for per-operation rounding.
+    /// constant subexpressions are evaluated at compile time; with
+    /// `fold == false` every intermediate value still exists for
+    /// per-operation rounding, as in the quantised engines' programs.
     ///
     /// # Panics
     ///
@@ -480,9 +406,9 @@ fn eliminate_dead_code(code: Vec<Instr>, result: Reg) -> (Vec<Instr>, Reg) {
 /// slots (operands are live *at* the instruction, so their slots cannot be
 /// on the free list when the destination is assigned) — evaluators may rely
 /// on this for aliasing-free in-place execution.
-type SlotAllocation<I> = (Vec<I>, Vec<Reg>, Vec<(Reg, Reg)>, usize);
+type SlotAllocation = (Vec<Instr>, Vec<Reg>, Vec<(Reg, Reg)>, usize);
 
-fn allocate_slots<I: Bytecode>(code: Vec<I>, results: Vec<Reg>) -> SlotAllocation<I> {
+fn allocate_slots(code: Vec<Instr>, results: Vec<Reg>) -> SlotAllocation {
     let n = code.len();
     // Last consumer of each instruction's value (itself if never consumed).
     let mut last_use: Vec<usize> = (0..n).collect();
@@ -540,7 +466,7 @@ fn allocate_slots<I: Bytecode>(code: Vec<I>, results: Vec<Reg>) -> SlotAllocatio
 /// ([`allocate_slots`]) an output is captured at its defining instruction,
 /// so for scheduling purposes it dies at its last consumer like any other
 /// value.
-fn schedule_for_locality<I: Bytecode>(code: &[I], results: &[Reg]) -> (Vec<I>, Vec<Reg>) {
+fn schedule_for_locality(code: &[Instr], results: &[Reg]) -> (Vec<Instr>, Vec<Reg>) {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let n = code.len();
@@ -633,7 +559,7 @@ fn schedule_for_locality<I: Bytecode>(code: &[I], results: &[Reg]) -> (Vec<I>, V
 
 /// Multi-root dead-code elimination: drop instructions unreachable from any
 /// of `results`, remapping operand registers and the results themselves.
-fn eliminate_dead_code_multi<I: Bytecode>(code: Vec<I>, results: Vec<Reg>) -> (Vec<I>, Vec<Reg>) {
+fn eliminate_dead_code_multi(code: Vec<Instr>, results: Vec<Reg>) -> (Vec<Instr>, Vec<Reg>) {
     let mut live = vec![false; code.len()];
     for &r in &results {
         live[r as usize] = true;
@@ -660,89 +586,6 @@ fn eliminate_dead_code_multi<I: Bytecode>(code: Vec<I>, results: Vec<Reg>) -> (V
     }
     let results = results.into_iter().map(|r| remap[r as usize]).collect();
     (out, results)
-}
-
-/// Quantise a fold-free `f64` program into a [`QInstr`] program of one
-/// [`FixedFormat`]: constants and bound parameters become raw words
-/// ([`FixedFormat::quantize`]), operations become their fixed-point
-/// counterparts, constant subexpressions are folded **with the fixed-point
-/// operations themselves** (compile-time evaluation is bit-identical to
-/// runtime evaluation — both are `FixedFormat::apply_*`), selects on
-/// constant conditions take the lazy branch like the interpreter, and
-/// common subexpressions are re-interned on raw words (distinct `f64`
-/// constants can collapse onto one word). Finishes with multi-root
-/// dead-code elimination.
-fn quantize_code(
-    code: &[Instr],
-    results: &[Reg],
-    fmt: FixedFormat,
-) -> (Vec<QInstr>, Vec<Reg>) {
-    #[derive(PartialEq, Eq, Hash)]
-    enum QKey {
-        Const(i64),
-        Input(u16, i32, i32),
-        Unary(UnaryOp, Reg),
-        Binary(BinaryOp, Reg, Reg),
-        Select(Reg, Reg, Reg),
-    }
-    let mut out: Vec<QInstr> = Vec::with_capacity(code.len());
-    let mut cse: HashMap<QKey, Reg> = HashMap::new();
-    // map[i]: the quantised register holding f64 instruction i's value.
-    let mut map: Vec<Reg> = vec![0; code.len()];
-    for (i, instr) in code.iter().enumerate() {
-        let const_of = |r: Reg, out: &[QInstr]| match out[r as usize] {
-            QInstr::Const(v) => Some(v),
-            _ => None,
-        };
-        let (key, qi) = match *instr {
-            Instr::Const(v) => {
-                let w = fmt.quantize(v);
-                (QKey::Const(w), QInstr::Const(w))
-            }
-            Instr::Input { field, dx, dy } => (
-                QKey::Input(field, dx, dy),
-                QInstr::Input { field, dx, dy },
-            ),
-            Instr::Unary { op, a } => {
-                let a = map[a as usize];
-                match const_of(a, &out) {
-                    Some(ca) => {
-                        let w = fmt.apply_unary(op, ca);
-                        (QKey::Const(w), QInstr::Const(w))
-                    }
-                    None => (QKey::Unary(op, a), QInstr::Unary { op, a }),
-                }
-            }
-            Instr::Binary { op, a, b } => {
-                let (a, b) = (map[a as usize], map[b as usize]);
-                match (const_of(a, &out), const_of(b, &out)) {
-                    (Some(ca), Some(cb)) => {
-                        let w = fmt.apply_binary(op, ca, cb);
-                        (QKey::Const(w), QInstr::Const(w))
-                    }
-                    _ => (QKey::Binary(op, a, b), QInstr::Binary { op, a, b }),
-                }
-            }
-            Instr::Select { c, t, e } => {
-                let (c, t, e) = (map[c as usize], map[t as usize], map[e as usize]);
-                match const_of(c, &out) {
-                    // Mirror the interpreter's lazy branch choice.
-                    Some(cc) => {
-                        map[i] = if cc != 0 { t } else { e };
-                        continue;
-                    }
-                    None => (QKey::Select(c, t, e), QInstr::Select { c, t, e }),
-                }
-            }
-        };
-        map[i] = *cse.entry(key).or_insert_with(|| {
-            let r = Reg::try_from(out.len()).expect("program exceeds u32 registers");
-            out.push(qi);
-            r
-        });
-    }
-    let results = results.iter().map(|&r| map[r as usize]).collect();
-    eliminate_dead_code_multi(out, results)
 }
 
 /// The compiled programs of every dynamic field of one pattern, with one
@@ -854,19 +697,6 @@ pub struct CompiledCone {
     reach: Reach,
 }
 
-/// Everything [`finish_cone`] produces for one lowered cone program —
-/// shared between the `f64` and quantised cone compilers.
-struct ConeParts<I> {
-    code: Vec<I>,
-    dst: Vec<Reg>,
-    outputs: Vec<ConeSlot>,
-    capture: Vec<Reg>,
-    retire: Vec<u32>,
-    slots: usize,
-    slots_unscheduled: usize,
-    reach: Reach,
-}
-
 /// Walk `cone`'s hash-consed graph and lower every node reachable from an
 /// output into SSA bytecode (instruction `i` writes register `i`), with
 /// parameters bound, CSE across the whole cone and — when `fold` is set —
@@ -928,72 +758,6 @@ fn lower_cone(cone: &Cone, params: &[f64], fold: bool) -> (Vec<Instr>, Vec<Reg>)
     eliminate_dead_code_multi(b.code, result_regs)
 }
 
-/// Schedule, slot-allocate and package one lowered cone program. Runs the
-/// kill-first scheduling pre-pass, keeps whichever order allocates fewer
-/// slots, and derives the capture points and retirement order of the
-/// outputs plus the program's coordinate reach.
-fn finish_cone<I: Bytecode>(code: Vec<I>, result_regs: Vec<Reg>, cone: &Cone) -> ConeParts<I> {
-    // Scheduling pre-pass: greedy consumer clustering (depth-first from
-    // the outputs) shortens live ranges before linear-scan allocation.
-    // Keep whichever order needs fewer slots — clustering wins on wide
-    // cones whose level-interleaved order keeps whole levels live.
-    let (sched_code, sched_results) = schedule_for_locality(&code, &result_regs);
-    let (lin_code, lin_dst, lin_results, lin_slots) = allocate_slots(code, result_regs);
-    let (s_code, s_dst, s_results, s_slots) = allocate_slots(sched_code, sched_results);
-    let slots_unscheduled = lin_slots;
-    let (code, dst, result_regs, slots) = if s_slots < lin_slots {
-        (s_code, s_dst, s_results, s_slots)
-    } else {
-        (lin_code, lin_dst, lin_results, lin_slots)
-    };
-    let outputs: Vec<ConeSlot> = cone
-        .outputs()
-        .iter()
-        .zip(&result_regs)
-        .map(|(o, &(reg, _))| ConeSlot {
-            field: u16::try_from(o.field.index()).expect("field id fits u16"),
-            px: o.point.x,
-            py: o.point.y,
-            reg,
-        })
-        .collect();
-    let capture: Vec<Reg> = result_regs.iter().map(|&(_, c)| c).collect();
-    let mut retire: Vec<u32> = (0..outputs.len() as u32).collect();
-    retire.sort_by_key(|&k| capture[k as usize]);
-    // Reach: every tap plus every output point, so interior tiles can
-    // skip both read and write bounds handling.
-    let mut reach = Reach {
-        min_dx: 0,
-        max_dx: 0,
-        min_dy: 0,
-        max_dy: 0,
-    };
-    let mut touch = |x: i32, y: i32| {
-        reach.min_dx = reach.min_dx.min(x);
-        reach.max_dx = reach.max_dx.max(x);
-        reach.min_dy = reach.min_dy.min(y);
-        reach.max_dy = reach.max_dy.max(y);
-    };
-    for instr in &code {
-        if let Some((_, dx, dy)) = instr.tap() {
-            touch(dx, dy);
-        }
-    }
-    for o in &outputs {
-        touch(o.px, o.py);
-    }
-    ConeParts {
-        code,
-        dst,
-        outputs,
-        capture,
-        retire,
-        slots,
-        slots_unscheduled,
-        reach,
-    }
-}
-
 impl CompiledCone {
     /// Lower `cone` with `params` bound as constants and constant folding
     /// enabled (the fast-path default).
@@ -1007,26 +771,78 @@ impl CompiledCone {
     }
 
     /// [`CompiledCone::compile`] with explicit control over constant
-    /// folding. The quantised / bit-true engines compile with
-    /// `fold == false` so that **every** operation node of the cone graph —
+    /// folding. The quantised / bit-true engines run programs compiled with
+    /// `fold == false`, so that **every** operation node of the cone graph —
     /// the exact set the VHDL backend registers — survives as one
-    /// instruction and receives its own per-operation rounding.
+    /// instruction and receives its own per-operation rounding in whatever
+    /// format the run is given.
+    ///
+    /// After lowering, a kill-first scheduling pre-pass runs and whichever
+    /// order allocates fewer slots is kept; the capture points and
+    /// retirement order of the outputs and the program's coordinate reach
+    /// are derived from the allocated program.
     ///
     /// # Panics
     ///
     /// Same as [`CompiledCone::compile`].
     pub fn compile_with(cone: &Cone, params: &[f64], fold: bool) -> Self {
         let (code, result_regs) = lower_cone(cone, params, fold);
-        let p = finish_cone(code, result_regs, cone);
+        // Scheduling pre-pass: greedy consumer clustering (depth-first from
+        // the outputs) shortens live ranges before linear-scan allocation.
+        // Keep whichever order needs fewer slots — clustering wins on wide
+        // cones whose level-interleaved order keeps whole levels live.
+        let (sched_code, sched_results) = schedule_for_locality(&code, &result_regs);
+        let (lin_code, lin_dst, lin_results, lin_slots) = allocate_slots(code, result_regs);
+        let (s_code, s_dst, s_results, s_slots) = allocate_slots(sched_code, sched_results);
+        let slots_unscheduled = lin_slots;
+        let (code, dst, result_regs, slots) = if s_slots < lin_slots {
+            (s_code, s_dst, s_results, s_slots)
+        } else {
+            (lin_code, lin_dst, lin_results, lin_slots)
+        };
+        let outputs: Vec<ConeSlot> = cone
+            .outputs()
+            .iter()
+            .zip(&result_regs)
+            .map(|(o, &(reg, _))| ConeSlot {
+                field: u16::try_from(o.field.index()).expect("field id fits u16"),
+                px: o.point.x,
+                py: o.point.y,
+                reg,
+            })
+            .collect();
+        let capture: Vec<Reg> = result_regs.iter().map(|&(_, c)| c).collect();
+        let mut retire: Vec<u32> = (0..outputs.len() as u32).collect();
+        retire.sort_by_key(|&k| capture[k as usize]);
+        // Reach: every tap plus every output point, so interior tiles can
+        // skip both read and write bounds handling.
+        let mut reach = Reach {
+            min_dx: 0,
+            max_dx: 0,
+            min_dy: 0,
+            max_dy: 0,
+        };
+        let mut touch = |x: i32, y: i32| {
+            reach.min_dx = reach.min_dx.min(x);
+            reach.max_dx = reach.max_dx.max(x);
+            reach.min_dy = reach.min_dy.min(y);
+            reach.max_dy = reach.max_dy.max(y);
+        };
+        for (_, dx, dy) in code.iter().filter_map(Instr::tap) {
+            touch(dx, dy);
+        }
+        for o in &outputs {
+            touch(o.px, o.py);
+        }
         let c = CompiledCone {
-            code: p.code,
-            dst: p.dst,
-            outputs: p.outputs,
-            capture: p.capture,
-            retire: p.retire,
-            slots: p.slots,
-            slots_unscheduled: p.slots_unscheduled,
-            reach: p.reach,
+            code,
+            dst,
+            outputs,
+            capture,
+            retire,
+            slots,
+            slots_unscheduled,
+            reach,
         };
         notify_compiled(ProgramView::Cone(&c));
         c
@@ -1110,19 +926,14 @@ impl CompiledCone {
     }
 }
 
-/// The compiled **quantised** whole-frame program of one pattern — the
-/// fixed-point counterpart of [`CompiledPattern`]: **all** dynamic-field
-/// updates lowered into a single fold-free [`QInstr`] program over raw
-/// `i64` words of one [`FixedFormat`], with the rounding/saturation rule
-/// fused into the instructions at compile time and the format carried by
-/// the program, so a mismatched quantiser between compile time and run time
-/// is unrepresentable.
-///
-/// The fold-free lowering keeps every intermediate of the reference
-/// expression trees, so each receives the hardware's per-operation
-/// rounding; constants are then folded **in the fixed-point domain** — safe
-/// precisely because compile-time evaluation uses the same
-/// `FixedFormat::apply_*` functions the evaluator would.
+/// The **fused** fold-free whole-frame program of one pattern — what the
+/// quantised whole-frame engine runs: **all** dynamic-field updates lowered
+/// into a single [`Instr`] program with no constant folding, so every
+/// intermediate of the reference expression trees survives as one
+/// instruction and receives the hardware's per-operation rounding. The
+/// program carries no format: the engine takes a
+/// [`FixedFormat`](isl_fpga::FixedFormat) at run time and quantises each
+/// [`Instr::Const`] where it is read, so one program serves every format.
 ///
 /// Field updates of one stencil routinely share work: gradients, norms and
 /// parameter quotients appear in every component's update (Chambolle's `px`
@@ -1133,24 +944,23 @@ impl CompiledCone {
 /// bit-identical to evaluating each update on its own: CSE only merges
 /// *exactly equal* operations on *exactly equal* operands, and every
 /// instruction applies the same `FixedFormat` rounding either way.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedStep {
-    pub(crate) code: Vec<QInstr>,
+    pub(crate) code: Vec<Instr>,
     /// `(field index, result register)` of every dynamic field, in field
     /// order.
     pub(crate) outputs: Vec<(u16, Reg)>,
     halo: Halo,
-    fmt: FixedFormat,
 }
 
 impl QuantizedStep {
-    /// Lower every dynamic update of `pattern` fold-free into one program,
-    /// quantise into `fmt` with all result registers as roots.
+    /// Lower every dynamic update of `pattern` fold-free into one program
+    /// with all result registers as roots.
     ///
     /// # Panics
     ///
     /// Same as [`CompiledPattern::compile`].
-    pub fn compile(pattern: &StencilPattern, params: &[f64], fmt: FixedFormat) -> Self {
+    pub fn compile(pattern: &StencilPattern, params: &[f64]) -> Self {
         let mut b = Builder {
             params,
             fold: false,
@@ -1168,13 +978,12 @@ impl QuantizedStep {
                 roots.push(b.lower(update));
             }
         }
-        let (code, results) = quantize_code(&b.code, &roots, fmt);
+        let (code, results) = eliminate_dead_code_multi(b.code, roots);
         let halo = Halo::of(&code);
         let s = QuantizedStep {
             code,
             outputs: fields.into_iter().zip(results).collect(),
             halo,
-            fmt,
         };
         notify_compiled(ProgramView::Step(&s));
         s
@@ -1196,123 +1005,14 @@ impl QuantizedStep {
         self.halo
     }
 
-    /// The fixed-point format fused into the program.
-    pub fn format(&self) -> FixedFormat {
-        self.fmt
-    }
-
     /// The instruction buffer; instruction `i` writes register `i`.
-    pub fn code(&self) -> &[QInstr] {
+    pub fn code(&self) -> &[Instr] {
         &self.code
     }
 
     /// `(field index, result register)` per dynamic field, in field order.
     pub fn outputs(&self) -> &[(u16, Reg)] {
         &self.outputs
-    }
-}
-
-/// A whole cone level lowered to one flat **quantised** bytecode program —
-/// the fixed-point counterpart of [`CompiledCone`], over raw `i64` words of
-/// one [`FixedFormat`] with rounding fused at compile time, slot-allocated
-/// with the same retiring discipline (outputs captured at their defining
-/// instructions, see [`CompiledCone::capture`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantizedCone {
-    pub(crate) code: Vec<QInstr>,
-    /// Destination slot of each instruction (parallel to `code`).
-    pub(crate) dst: Vec<Reg>,
-    pub(crate) outputs: Vec<ConeSlot>,
-    pub(crate) capture: Vec<Reg>,
-    pub(crate) retire: Vec<u32>,
-    slots: usize,
-    fmt: FixedFormat,
-    reach: Reach,
-}
-
-impl QuantizedCone {
-    /// Lower `cone` fold-free (every graph operation node — the exact set
-    /// the VHDL backend registers — survives as one instruction), quantise
-    /// into `fmt`, schedule and slot-allocate.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`CompiledCone::compile`].
-    pub fn compile(cone: &Cone, params: &[f64], fmt: FixedFormat) -> Self {
-        let (code, result_regs) = lower_cone(cone, params, false);
-        let (qcode, qresults) = quantize_code(&code, &result_regs, fmt);
-        let p = finish_cone(qcode, qresults, cone);
-        let c = QuantizedCone {
-            code: p.code,
-            dst: p.dst,
-            outputs: p.outputs,
-            capture: p.capture,
-            retire: p.retire,
-            slots: p.slots,
-            fmt,
-            reach: p.reach,
-        };
-        notify_compiled(ProgramView::QuantizedCone(&c));
-        c
-    }
-
-    /// Number of value slots the evaluator needs (peak live registers).
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
-    /// The instruction buffer; instruction `i` writes slot `dst()[i]`.
-    pub fn code(&self) -> &[QInstr] {
-        &self.code
-    }
-
-    /// Destination slot of each instruction (parallel to
-    /// [`QuantizedCone::code`]).
-    pub fn dst(&self) -> &[Reg] {
-        &self.dst
-    }
-
-    /// The output elements and the slots holding them at their capture
-    /// points.
-    pub fn outputs(&self) -> &[ConeSlot] {
-        &self.outputs
-    }
-
-    /// Capture point of each output — see [`CompiledCone::capture`].
-    pub fn capture(&self) -> &[Reg] {
-        &self.capture
-    }
-
-    /// Output indices sorted by capture point — see
-    /// [`CompiledCone::retire`].
-    pub fn retire(&self) -> &[u32] {
-        &self.retire
-    }
-
-    /// The fixed-point format fused into the program.
-    pub fn format(&self) -> FixedFormat {
-        self.fmt
-    }
-
-    /// Number of instructions in the flattened program.
-    pub fn len(&self) -> usize {
-        self.code.len()
-    }
-
-    /// Whether the program is empty (never: every output emits at least
-    /// one instruction).
-    pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
-    }
-
-    /// Number of output elements (`dynamic fields × window area`).
-    pub fn output_count(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// The signed coordinate reach of the program around its tile origin.
-    pub fn reach(&self) -> Reach {
-        self.reach
     }
 }
 
@@ -1349,8 +1049,7 @@ impl ProgramKey {
 struct ProgramCacheInner {
     patterns: Mutex<HashMap<ProgramKey, Arc<CompiledPattern>>>,
     cones: Mutex<HashMap<ProgramKey, Arc<CompiledCone>>>,
-    qpatterns: Mutex<HashMap<(ProgramKey, FixedFormat), Arc<QuantizedStep>>>,
-    qcones: Mutex<HashMap<(ProgramKey, FixedFormat), Arc<QuantizedCone>>>,
+    steps: Mutex<HashMap<ProgramKey, Arc<QuantizedStep>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -1363,8 +1062,11 @@ struct ProgramCacheInner {
 /// with [`crate::Simulator::with_program_cache`] extends that guarantee to
 /// a whole session: one `(pattern, params, fold, shape)` identity is
 /// lowered at most once no matter how many simulators, engines or threads
-/// request it. Compilation is deterministic, so a cached program is
-/// bit-for-bit the program a cold compile would produce (property-tested in
+/// request it. No key holds a fixed-point format: the quantised engines run
+/// the fold-free programs with the format passed in at run time, so every
+/// format of a search or a certification shares one program per shape.
+/// Compilation is deterministic, so a cached program is bit-for-bit the
+/// program a cold compile would produce (property-tested in
 /// `tests/tests/session_props.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct ProgramCache {
@@ -1391,7 +1093,7 @@ impl ProgramCache {
             return Arc::clone(hit);
         }
         self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        let _span = isl_telemetry::span("compile", "pattern f64");
+        let _span = isl_telemetry::span("compile", "pattern");
         let built = Arc::new(CompiledPattern::compile(pattern, params, fold));
         let mut map = self.inner.patterns.lock().expect("program cache");
         Arc::clone(map.entry(key).or_insert(built))
@@ -1416,57 +1118,34 @@ impl ProgramCache {
             return Arc::clone(hit);
         }
         self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        let _span = isl_telemetry::span("compile", "cone f64");
+        let _span = isl_telemetry::span("compile", "cone");
         let built = Arc::new(CompiledCone::compile_with(cone, params, fold));
         let mut map = self.inner.cones.lock().expect("program cache");
         Arc::clone(map.entry(key).or_insert(built))
     }
 
-    /// The quantised whole-pattern program of `(pattern, params, fmt)` —
-    /// served from the cache or compiled (outside the lock) and stored.
-    /// Quantised programs always lower fold-free, so `fold` is not part of
-    /// the identity; the fixed-point format is.
+    /// The fused fold-free step program of `(pattern, params)` that the
+    /// quantised whole-frame engine runs — served from the cache or
+    /// compiled (outside the lock) and stored. The program holds no format,
+    /// so one entry serves every format.
     pub fn quantized_pattern_program(
         &self,
         pattern: &StencilPattern,
         params: &[f64],
-        fmt: FixedFormat,
     ) -> Arc<QuantizedStep> {
-        let key = (ProgramKey::of(pattern, params, false, None), fmt);
-        if let Some(hit) = self.inner.qpatterns.lock().expect("program cache").get(&key) {
+        let key = ProgramKey::of(pattern, params, false, None);
+        if let Some(hit) = self.inner.steps.lock().expect("program cache").get(&key) {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
         self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        let _span = isl_telemetry::span("compile", "pattern q");
-        let built = Arc::new(QuantizedStep::compile(pattern, params, fmt));
-        let mut map = self.inner.qpatterns.lock().expect("program cache");
+        let _span = isl_telemetry::span("compile", "step");
+        let built = Arc::new(QuantizedStep::compile(pattern, params));
+        let mut map = self.inner.steps.lock().expect("program cache");
         Arc::clone(map.entry(key).or_insert(built))
     }
 
-    /// The quantised cone program of `(pattern, cone shape, params, fmt)` —
-    /// served from the cache or lowered (outside the lock) and stored.
-    /// Same contract as [`ProgramCache::cone_program`].
-    pub fn quantized_cone_program(
-        &self,
-        pattern: &StencilPattern,
-        cone: &Cone,
-        params: &[f64],
-        fmt: FixedFormat,
-    ) -> Arc<QuantizedCone> {
-        let key = (ProgramKey::of(pattern, params, false, Some(cone)), fmt);
-        if let Some(hit) = self.inner.qcones.lock().expect("program cache").get(&key) {
-            self.inner.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        let _span = isl_telemetry::span("compile", "cone q");
-        let built = Arc::new(QuantizedCone::compile(cone, params, fmt));
-        let mut map = self.inner.qcones.lock().expect("program cache");
-        Arc::clone(map.entry(key).or_insert(built))
-    }
-
-    /// Snapshot the hit/miss counters (pattern and cone programs combined).
+    /// Snapshot the hit/miss counters (every program form combined).
     pub fn stats(&self) -> isl_ir::CacheStats {
         isl_ir::CacheStats {
             hits: self.inner.hits.load(Ordering::Relaxed),
@@ -1478,8 +1157,7 @@ impl ProgramCache {
     pub fn len(&self) -> usize {
         self.inner.patterns.lock().expect("program cache").len()
             + self.inner.cones.lock().expect("program cache").len()
-            + self.inner.qpatterns.lock().expect("program cache").len()
-            + self.inner.qcones.lock().expect("program cache").len()
+            + self.inner.steps.lock().expect("program cache").len()
     }
 
     /// Whether no program has been cached yet.

@@ -5,12 +5,12 @@
 //! cone pass from `f64`?"; this module answers the system-level question —
 //! after `N` iterations over a whole frame, how much error has the hardware
 //! data path accumulated? Execution runs entirely in the **raw word
-//! domain** on [`crate::compile::QuantizedStep`] programs: the rounding
-//! rule is fused into every instruction at compile time (saturating
-//! fixed-point add/sub, truncating widened mul/div — the exact
-//! `isl_fpga::FixedFormat` datapath the generated VHDL implements), so
-//! there is no per-op rounding hook and no way to run a program in the
-//! wrong format.
+//! domain** on the fold-free [`crate::compile::QuantizedStep`] program,
+//! with the format passed in at run time: every instruction is the
+//! format's saturating fixed-point operation (saturating add/sub,
+//! truncating widened mul/div — the exact `isl_fpga::FixedFormat`
+//! datapath the generated VHDL implements), and constants are quantised
+//! where they are read. One cached program serves every format.
 
 use isl_fpga::FixedFormat;
 use isl_ir::{FieldId, FieldKind};
@@ -32,8 +32,8 @@ impl Simulator<'_> {
     ///
     /// Executes on the compiled **quantised** bytecode engine: the pattern
     /// is lowered fold-free (every intermediate of the reference expression
-    /// tree survives as one instruction), then every instruction becomes a
-    /// branch-free saturating lane kernel over raw words — bit-identical to
+    /// tree survives as one instruction), and every instruction runs as a
+    /// saturating lane kernel of `fmt` over raw words — bit-identical to
     /// [`Simulator::run_quantized_reference`], which tests enforce.
     ///
     /// # Errors
@@ -51,14 +51,20 @@ impl Simulator<'_> {
                 got: init.len(),
             });
         }
-        let program =
-            self.program_cache()
-                .quantized_pattern_program(self.pattern(), self.params(), fmt);
+        let program = self
+            .program_cache()
+            .quantized_pattern_program(self.pattern(), self.params());
         let mut state = WordSet::quantize(init, fmt);
         let mut spare: Option<WordSet> = None;
         for _ in 0..iterations {
-            let next =
-                qvm::step_quantized(&program, &state, self.border(), self.threads(), spare.take());
+            let next = qvm::step_quantized(
+                &program,
+                fmt,
+                &state,
+                self.border(),
+                self.threads(),
+                spare.take(),
+            );
             spare = Some(std::mem::replace(&mut state, next));
         }
         Ok(state.dequantize(fmt))

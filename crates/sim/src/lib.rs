@@ -83,13 +83,17 @@
 //! makes, whose golden vectors it verifies against an independent oracle.
 //! Three design decisions make this both fast and trustworthy:
 //!
-//! * **Rounding is fused at compile time.** [`compile`] lowers the pattern
-//!   (fold-free, so every node of the reference expression tree survives)
-//!   into a dedicated quantised program ([`QuantizedStep`] /
-//!   [`QuantizedCone`]) whose instructions *are* the rounding rule — there
-//!   is no per-op rounding hook, so running a program in a mismatched
-//!   format is unrepresentable, and the inner loops carry no rounding
-//!   branches.
+//! * **One program for every format.** The quantised engines run the same
+//!   [`Instr`] bytecode as the `f64` engines, lowered fold-free so every
+//!   node of the reference expression tree or cone graph survives as one
+//!   instruction ([`QuantizedStep`] for the fused whole-frame step, a
+//!   [`CompiledCone`] compiled with `fold == false` per cone shape). The
+//!   [`isl_fpga::FixedFormat`] is an argument of the run, not of the
+//!   program: each instruction is that format's saturating operation, and
+//!   each [`Instr::Const`] is quantised where it is read, as the
+//!   `isl-cosim` VM does. The program cache therefore holds one program per
+//!   shape for every format, so a format search compiles nothing after its
+//!   first probe.
 //! * **Lane kernels are shared with the hardware model.** The span-wise
 //!   saturating kernels (`FixedFormat::unary_span` / `binary_span` in
 //!   `isl-fpga`) are the *single* bit-true definition of the datapath:
@@ -169,7 +173,7 @@ mod vm;
 pub use border::BorderMode;
 pub use compile::{
     set_compile_verifier, CompileVerifier, CompiledCone, CompiledKernel, CompiledPattern, ConeSlot,
-    Halo, Instr, ProgramCache, ProgramView, QInstr, QuantizedCone, QuantizedStep, Reach, Reg,
+    Halo, Instr, ProgramCache, ProgramView, QuantizedStep, Reach, Reg,
 };
 pub use error::SimError;
 pub use fixed::Quantizer;

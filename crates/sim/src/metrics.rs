@@ -10,85 +10,58 @@
 //! allocates nothing; the disabled path never reaches here (call sites
 //! branch on [`isl_telemetry::enabled`]).
 
-use crate::compile::{Instr, QInstr};
+use crate::compile::Instr;
 use isl_ir::{BinaryOp, UnaryOp};
 
-fn unary_class_f64(op: UnaryOp) -> &'static str {
-    match op {
-        UnaryOp::Neg => "engine.f64.neg",
-        UnaryOp::Abs => "engine.f64.abs",
-        UnaryOp::Sqrt => "engine.f64.sqrt",
+/// The counter of one instruction's op class, under the `engine.f64.` or
+/// `engine.q.` prefix.
+fn class(instr: &Instr, quantized: bool) -> &'static str {
+    let (f64_class, q_class) = match *instr {
+        Instr::Const(_) => ("engine.f64.const", "engine.q.const"),
+        Instr::Input { .. } => ("engine.f64.input", "engine.q.input"),
+        Instr::Select { .. } => ("engine.f64.select", "engine.q.select"),
+        Instr::Unary { op, .. } => match op {
+            UnaryOp::Neg => ("engine.f64.neg", "engine.q.neg"),
+            UnaryOp::Abs => ("engine.f64.abs", "engine.q.abs"),
+            UnaryOp::Sqrt => ("engine.f64.sqrt", "engine.q.sqrt"),
+        },
+        Instr::Binary { op, .. } => match op {
+            BinaryOp::Add => ("engine.f64.add", "engine.q.add"),
+            BinaryOp::Sub => ("engine.f64.sub", "engine.q.sub"),
+            BinaryOp::Mul => ("engine.f64.mul", "engine.q.mul"),
+            BinaryOp::Div => ("engine.f64.div", "engine.q.div"),
+            BinaryOp::Min => ("engine.f64.min", "engine.q.min"),
+            BinaryOp::Max => ("engine.f64.max", "engine.q.max"),
+            BinaryOp::Lt => ("engine.f64.lt", "engine.q.lt"),
+            BinaryOp::Le => ("engine.f64.le", "engine.q.le"),
+            BinaryOp::Gt => ("engine.f64.gt", "engine.q.gt"),
+            BinaryOp::Ge => ("engine.f64.ge", "engine.q.ge"),
+        },
+    };
+    if quantized {
+        q_class
+    } else {
+        f64_class
     }
 }
 
-fn binary_class_f64(op: BinaryOp) -> &'static str {
-    match op {
-        BinaryOp::Add => "engine.f64.add",
-        BinaryOp::Sub => "engine.f64.sub",
-        BinaryOp::Mul => "engine.f64.mul",
-        BinaryOp::Div => "engine.f64.div",
-        BinaryOp::Min => "engine.f64.min",
-        BinaryOp::Max => "engine.f64.max",
-        BinaryOp::Lt => "engine.f64.lt",
-        BinaryOp::Le => "engine.f64.le",
-        BinaryOp::Gt => "engine.f64.gt",
-        BinaryOp::Ge => "engine.f64.ge",
+fn tally(code: &[Instr], elems: u64, quantized: bool) {
+    if elems == 0 {
+        return;
+    }
+    for instr in code {
+        isl_telemetry::add(class(instr, quantized), elems);
     }
 }
 
-fn unary_class_q(op: UnaryOp) -> &'static str {
-    match op {
-        UnaryOp::Neg => "engine.q.neg",
-        UnaryOp::Abs => "engine.q.abs",
-        UnaryOp::Sqrt => "engine.q.sqrt",
-    }
-}
-
-fn binary_class_q(op: BinaryOp) -> &'static str {
-    match op {
-        BinaryOp::Add => "engine.q.add",
-        BinaryOp::Sub => "engine.q.sub",
-        BinaryOp::Mul => "engine.q.mul",
-        BinaryOp::Div => "engine.q.div",
-        BinaryOp::Min => "engine.q.min",
-        BinaryOp::Max => "engine.q.max",
-        BinaryOp::Lt => "engine.q.lt",
-        BinaryOp::Le => "engine.q.le",
-        BinaryOp::Gt => "engine.q.gt",
-        BinaryOp::Ge => "engine.q.ge",
-    }
-}
-
-/// Tally `elems` executions of every instruction of an f64 program.
+/// Tally `elems` executions of every instruction of a program on an `f64`
+/// engine.
 pub(crate) fn tally_instrs(code: &[Instr], elems: u64) {
-    if elems == 0 {
-        return;
-    }
-    for instr in code {
-        let class = match *instr {
-            Instr::Const(_) => "engine.f64.const",
-            Instr::Input { .. } => "engine.f64.input",
-            Instr::Unary { op, .. } => unary_class_f64(op),
-            Instr::Binary { op, .. } => binary_class_f64(op),
-            Instr::Select { .. } => "engine.f64.select",
-        };
-        isl_telemetry::add(class, elems);
-    }
+    tally(code, elems, false);
 }
 
-/// Tally `elems` executions of every instruction of a quantised program.
-pub(crate) fn tally_qinstrs(code: &[QInstr], elems: u64) {
-    if elems == 0 {
-        return;
-    }
-    for instr in code {
-        let class = match *instr {
-            QInstr::Const(_) => "engine.q.const",
-            QInstr::Input { .. } => "engine.q.input",
-            QInstr::Unary { op, .. } => unary_class_q(op),
-            QInstr::Binary { op, .. } => binary_class_q(op),
-            QInstr::Select { .. } => "engine.q.select",
-        };
-        isl_telemetry::add(class, elems);
-    }
+/// Tally `elems` executions of every instruction of a program on a
+/// quantised engine.
+pub(crate) fn tally_qinstrs(code: &[Instr], elems: u64) {
+    tally(code, elems, true);
 }

@@ -5,11 +5,13 @@
 //! `isl_fpga::FixedFormat`'s saturating/truncating lane kernels
 //! ([`FixedFormat::unary_span`] / [`FixedFormat::binary_span`]) — the same
 //! single bit-true definition the co-simulation VM executes scalar-wise.
-//! There is no per-op rounding hook anywhere in this module: rounding *is*
-//! the arithmetic, fused at compile time by
-//! [`crate::compile::QuantizedStep`] / [`crate::compile::QuantizedCone`],
-//! so the engines are branch-free over structure-of-arrays spans exactly
-//! like their `f64` counterparts.
+//! The engines run the fold-free [`Instr`] programs the `f64` side
+//! compiles (every operation node survives, so each gets its own
+//! rounding), with the [`FixedFormat`] passed in at run time: an
+//! [`Instr::Const`] is quantised where it is read, exactly as the
+//! co-simulation VM does, and a power-of-two constant operand still drops
+//! to [`FixedFormat::binary_span_const`]'s shift kernels. One program per
+//! shape therefore serves every format a search probes.
 //!
 //! Two engines, mirroring the `f64` pair:
 //!
@@ -34,7 +36,7 @@ use isl_fpga::FixedFormat;
 use isl_ir::{Expr, FieldId, Offset, ParamId};
 
 use crate::border::BorderMode;
-use crate::compile::{QInstr, QuantizedCone, QuantizedStep};
+use crate::compile::{CompiledCone, Instr, QuantizedStep};
 use crate::frame::{Frame, FrameSet};
 use crate::parallel::for_each_task;
 use crate::sim::ConeFiring;
@@ -177,10 +179,8 @@ impl ScratchQ {
 
 // -- whole-frame stepping ---------------------------------------------------
 
-/// One quantised whole-frame step — the engine behind
-/// [`crate::Simulator::run_quantized`]. The rounding rule lives inside the
-/// program (`step`), so a mismatched quantiser between compile and run is
-/// unrepresentable.
+/// One quantised whole-frame step in `fmt` — the engine behind
+/// [`crate::Simulator::run_quantized`]. `state` must hold words of `fmt`.
 ///
 /// Evaluates the pattern's **fused** multi-output program rather than one
 /// kernel per field: all dynamic fields of a row band are produced in a
@@ -189,6 +189,7 @@ impl ScratchQ {
 /// pixel.
 pub(crate) fn step_quantized(
     step: &QuantizedStep,
+    fmt: FixedFormat,
     state: &WordSet,
     border: BorderMode,
     threads: usize,
@@ -196,7 +197,7 @@ pub(crate) fn step_quantized(
 ) -> WordSet {
     let _span = isl_telemetry::span("engine", "frame step q");
     let (w, h) = (state.width(), state.height());
-    let braw = border_raw(border, step.format());
+    let braw = border_raw(border, fmt);
     let dyn_fields: Vec<usize> = step.outputs().iter().map(|&(f, _)| f as usize).collect();
     let t = tile_banding(h, 1, threads, w * h * step.len());
     let srcs: Vec<WordView<'_>> = state.frames.iter().map(|f| WordView::frame(f, w)).collect();
@@ -205,6 +206,7 @@ pub(crate) fn step_quantized(
         let mut scratch = ScratchQ::default();
         eval_rect_step_q(
             step,
+            fmt,
             &srcs,
             (w, h),
             border,
@@ -242,6 +244,7 @@ fn reclaim(recycle: Option<WordSet>, w: usize, h: usize) -> Vec<Option<Vec<i64>>
 #[allow(clippy::too_many_arguments)]
 fn eval_rect_step_q(
     step: &QuantizedStep,
+    fmt: FixedFormat,
     srcs: &[WordView<'_>],
     (w, h): (usize, usize),
     border: BorderMode,
@@ -254,7 +257,6 @@ fn eval_rect_step_q(
     if isl_telemetry::enabled() {
         crate::metrics::tally_qinstrs(step.code(), (w as i64 * (ry1 - ry0 + 1)) as u64);
     }
-    let fmt = step.format();
     let halo = step.halo();
     let xlo = i64::from(halo.left);
     let xhi = w as i64 - 1 - i64::from(halo.right);
@@ -315,7 +317,7 @@ fn pixel_step_q(
 /// statically in-bounds span `[x0, x0 + len)` of row `y`, one format lane
 /// kernel per instruction; callers read result registers out of `scratch`.
 fn eval_span_q(
-    code: &[QInstr],
+    code: &[Instr],
     fmt: FixedFormat,
     srcs: &[WordView<'_>],
     y: i64,
@@ -328,25 +330,26 @@ fn eval_span_q(
         let dst = &mut cur[..len];
         let lane = |r: u32| &prev[r as usize * len..(r as usize + 1) * len];
         match *instr {
-            QInstr::Const(v) => dst.fill(v),
-            QInstr::Input { field, dx, dy } => {
+            Instr::Const(v) => dst.fill(fmt.quantize(v)),
+            Instr::Input { field, dx, dy } => {
                 let s = &srcs[field as usize];
                 let base = (y + i64::from(dy)) * s.stride as i64 + x0 + i64::from(dx);
                 let base = usize::try_from(base).expect("interior read in bounds");
                 dst.copy_from_slice(&s.data[base..base + len]);
             }
-            QInstr::Unary { op, a } => fmt.unary_span(op, lane(a), dst),
-            QInstr::Binary { op, a, b } => {
+            Instr::Unary { op, a } => fmt.unary_span(op, lane(a), dst),
+            Instr::Binary { op, a, b } => {
                 // Kernel registers are instruction indices, so a constant
                 // right operand is visible here — power-of-two multiplies
-                // and divides drop to shift kernels, bit-identically.
-                let done = matches!(code[b as usize], QInstr::Const(c)
-                    if fmt.binary_span_const(op, lane(a), c, dst));
+                // and divides of its quantised word drop to shift kernels,
+                // bit-identically.
+                let done = matches!(code[b as usize], Instr::Const(c)
+                    if fmt.binary_span_const(op, lane(a), fmt.quantize(c), dst));
                 if !done {
                     fmt.binary_span(op, lane(a), lane(b), dst);
                 }
             }
-            QInstr::Select { c, t, e } => {
+            Instr::Select { c, t, e } => {
                 let (c, t, e) = (lane(c), lane(t), lane(e));
                 for k in 0..len {
                     dst[k] = if c[k] != 0 { t[k] } else { e[k] };
@@ -360,7 +363,7 @@ fn eval_span_q(
 /// result registers out of `regs`.
 #[allow(clippy::too_many_arguments)]
 fn eval_pixel_q(
-    code: &[QInstr],
+    code: &[Instr],
     fmt: FixedFormat,
     srcs: &[WordView<'_>],
     border: BorderMode,
@@ -372,8 +375,8 @@ fn eval_pixel_q(
 ) {
     for (i, instr) in code.iter().enumerate() {
         regs[i] = match *instr {
-            QInstr::Const(c) => c,
-            QInstr::Input { field, dx, dy } => srcs[field as usize].sample(
+            Instr::Const(c) => fmt.quantize(c),
+            Instr::Input { field, dx, dy } => srcs[field as usize].sample(
                 x + i64::from(dx),
                 y + i64::from(dy),
                 w as i64,
@@ -381,11 +384,11 @@ fn eval_pixel_q(
                 border,
                 braw,
             ),
-            QInstr::Unary { op, a } => fmt.apply_unary(op, regs[a as usize]),
-            QInstr::Binary { op, a, b } => {
+            Instr::Unary { op, a } => fmt.apply_unary(op, regs[a as usize]),
+            Instr::Binary { op, a, b } => {
                 fmt.apply_binary(op, regs[a as usize], regs[b as usize])
             }
-            QInstr::Select { c, t, e } => {
+            Instr::Select { c, t, e } => {
                 if regs[c as usize] != 0 {
                     regs[t as usize]
                 } else {
@@ -504,13 +507,15 @@ impl BandFirings {
     }
 }
 
-/// One quantised cone-DAG level — the engine behind
-/// [`crate::Simulator::run_cone_dag_quantized`]. Integer twin of
-/// [`crate::vm::cone_level_compiled`], including the streaming output
-/// retirement. With `record`, every firing is also returned in row-major
-/// tile order, whatever the thread count.
+/// One quantised cone-DAG level of the fold-free cone program `cc` in
+/// `fmt` — the engine behind [`crate::Simulator::run_cone_dag_quantized`].
+/// Integer twin of [`crate::vm::cone_level_compiled`], including the
+/// streaming output retirement. With `record`, every firing is also
+/// returned in row-major tile order, whatever the thread count.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn cone_level_quantized(
-    qc: &QuantizedCone,
+    cc: &CompiledCone,
+    fmt: FixedFormat,
     state: &WordSet,
     border: BorderMode,
     threads: usize,
@@ -520,14 +525,14 @@ pub(crate) fn cone_level_quantized(
 ) -> (WordSet, Vec<ConeFiring>) {
     let _span = isl_telemetry::span("engine", "cone level q");
     let (w, h) = (state.width(), state.height());
-    let braw = border_raw(border, qc.format());
+    let braw = border_raw(border, fmt);
     let (dyn_fields, dyn_slot) =
-        dyn_slot_map(state.frames.len(), qc.outputs.iter().map(|s| s.field as usize));
+        dyn_slot_map(state.frames.len(), cc.outputs.iter().map(|s| s.field as usize));
     let tiles_x = w.div_ceil(tw as usize);
-    let work = tiles_x * h.div_ceil(th as usize) * qc.len();
+    let work = tiles_x * h.div_ceil(th as usize) * cc.len();
     let t = tile_banding(h, th as usize, threads, work);
-    let reach = qc.reach();
-    let lanes_cap = (LANE_SCRATCH / qc.slots().max(1)).clamp(1, 512);
+    let reach = cc.reach();
+    let lanes_cap = (LANE_SCRATCH / cc.slots().max(1)).clamp(1, 512);
     let bands: Mutex<Vec<BandFirings>> = Mutex::new(Vec::new());
     let next = banded_level_q(state, &dyn_fields, th as usize, t, recycle, |row0, slices| {
         let rows = slices[0].len() / w;
@@ -551,15 +556,15 @@ pub(crate) fn cone_level_quantized(
             ty += th;
         }
         let mut band = record.as_ref().map(|rec| {
-            let outputs = qc.output_count();
+            let outputs = cc.output_count();
             BandFirings::new(rec, state, border, braw, (row0, rows), tiles_x, (tw, th), outputs)
         });
-        let mut scratch = vec![0i64; qc.slots() * lanes_cap];
+        let mut scratch = vec![0i64; cc.slots() * lanes_cap];
         for chunk in interior.chunks(lanes_cap) {
-            eval_cone_lanes_q(qc, state, border, braw, chunk, true, &dyn_slot, &mut scratch, (slices, row0), band.as_mut());
+            eval_cone_lanes_q(cc, fmt, state, border, braw, chunk, true, &dyn_slot, &mut scratch, (slices, row0), band.as_mut());
         }
         for chunk in edge.chunks(lanes_cap) {
-            eval_cone_lanes_q(qc, state, border, braw, chunk, false, &dyn_slot, &mut scratch, (slices, row0), band.as_mut());
+            eval_cone_lanes_q(cc, fmt, state, border, braw, chunk, false, &dyn_slot, &mut scratch, (slices, row0), band.as_mut());
         }
         if let Some(band) = band {
             bands.lock().expect("band firings").push(band);
@@ -570,14 +575,15 @@ pub(crate) fn cone_level_quantized(
     (next, bands.into_iter().flat_map(|b| b.firings).collect())
 }
 
-/// Evaluate the quantised cone program for every tile of `chunk` at once —
-/// integer twin of `vm::eval_cone_lanes`, with the same streaming output
+/// Evaluate the fold-free cone program in `fmt` for every tile of `chunk`
+/// at once — integer twin of `vm::eval_cone_lanes`, with the same streaming output
 /// retirement (outputs scatter at their capture instruction, before their
 /// slot can be reused). A recording band also keeps every retired word,
 /// out-of-frame outputs of edge tiles included.
 #[allow(clippy::too_many_arguments)]
 fn eval_cone_lanes_q(
-    qc: &QuantizedCone,
+    cc: &CompiledCone,
+    fmt: FixedFormat,
     state: &WordSet,
     border: BorderMode,
     braw: i64,
@@ -589,10 +595,9 @@ fn eval_cone_lanes_q(
     mut band: Option<&mut BandFirings>,
 ) {
     let (w, h) = (state.width(), state.height());
-    let fmt = qc.format();
     let n = chunk.len();
     if isl_telemetry::enabled() {
-        crate::metrics::tally_qinstrs(&qc.code, n as u64);
+        crate::metrics::tally_qinstrs(&cc.code, n as u64);
     }
     let read_origin: Vec<i64> = chunk.iter().map(|&(tx, ty)| ty * w as i64 + tx).collect();
     let write_origin: Vec<i64> = chunk
@@ -601,11 +606,11 @@ fn eval_cone_lanes_q(
         .collect();
     let range = |s: u32| s as usize * n..s as usize * n + n;
     let mut next_retire = 0usize;
-    for (i, instr) in qc.code.iter().enumerate() {
-        let d = qc.dst[i];
+    for (i, instr) in cc.code.iter().enumerate() {
+        let d = cc.dst[i];
         match *instr {
-            QInstr::Const(v) => scratch[range(d)].fill(v),
-            QInstr::Input { field, dx, dy } => {
+            Instr::Const(v) => scratch[range(d)].fill(fmt.quantize(v)),
+            Instr::Input { field, dx, dy } => {
                 let dst = &mut scratch[range(d)];
                 if interior {
                     let src = state.words(field as usize);
@@ -627,13 +632,13 @@ fn eval_cone_lanes_q(
                     }
                 }
             }
-            QInstr::Unary { op, a } => {
+            Instr::Unary { op, a } => {
                 let [dst, a] = scratch
                     .get_disjoint_mut([range(d), range(a)])
                     .expect("dst slot distinct from operands");
                 fmt.unary_span(op, a, dst);
             }
-            QInstr::Binary { op, a, b } => {
+            Instr::Binary { op, a, b } => {
                 if a == b {
                     let [dst, a] = scratch
                         .get_disjoint_mut([range(d), range(a)])
@@ -647,7 +652,7 @@ fn eval_cone_lanes_q(
                     fmt.binary_span(op, a, b, dst);
                 }
             }
-            QInstr::Select { c, t, e } => {
+            Instr::Select { c, t, e } => {
                 let (c0, t0, e0, d0) =
                     (c as usize * n, t as usize * n, e as usize * n, d as usize * n);
                 for k in 0..n {
@@ -659,11 +664,11 @@ fn eval_cone_lanes_q(
                 }
             }
         }
-        while next_retire < qc.retire.len()
-            && qc.capture[qc.retire[next_retire] as usize] as usize == i
+        while next_retire < cc.retire.len()
+            && cc.capture[cc.retire[next_retire] as usize] as usize == i
         {
-            let oi = qc.retire[next_retire] as usize;
-            let slot = &qc.outputs[oi];
+            let oi = cc.retire[next_retire] as usize;
+            let slot = &cc.outputs[oi];
             next_retire += 1;
             let di = dyn_slot[slot.field as usize].expect("output field is dynamic");
             let src = &scratch[range(slot.reg)];
@@ -687,7 +692,7 @@ fn eval_cone_lanes_q(
             }
         }
     }
-    debug_assert_eq!(next_retire, qc.outputs.len(), "every output must retire");
+    debug_assert_eq!(next_retire, cc.outputs.len(), "every output must retire");
 }
 
 // -- tree-walking raw reference ---------------------------------------------

@@ -787,10 +787,12 @@ impl<'p> Simulator<'p> {
     /// behaviour of the generated hardware's multi-level datapath, window
     /// by window.
     ///
-    /// Cones are lowered **without** constant folding so every operation
-    /// node of the cone graph (the set the VHDL registers) survives as one
-    /// saturating fixed-point instruction — bit-identical to
-    /// [`Simulator::run_cone_dag_quantized_reference`], which tests enforce.
+    /// Runs the cone programs lowered **without** constant folding, so
+    /// every operation node of the cone graph (the set the VHDL registers)
+    /// executes as one saturating fixed-point instruction in `fmt` —
+    /// bit-identical to [`Simulator::run_cone_dag_quantized_reference`],
+    /// which tests enforce. The programs hold no format, so runs in every
+    /// format share one cached program per cone shape.
     ///
     /// # Errors
     ///
@@ -843,9 +845,9 @@ impl<'p> Simulator<'p> {
             return Err(SimError::Cone("cone depth must be at least 1".into()));
         }
         let (tw, th) = (window.w as i64, window.h as i64);
-        // Per distinct depth: the program and, when recording, the cone's
-        // base-input taps in input-port order.
-        type Shape = (u32, Arc<crate::compile::QuantizedCone>, Vec<(u16, i32, i32)>);
+        // Per distinct depth: the fold-free program and, when recording,
+        // the cone's base-input taps in input-port order.
+        type Shape = (u32, Arc<CompiledCone>, Vec<(u16, i32, i32)>);
         let mut programs: Vec<Shape> = Vec::new();
         let mut shapes: Vec<(u32, Vec<ConeFiring>)> = Vec::new();
         let mut state = WordSet::quantize(init, fmt);
@@ -865,19 +867,20 @@ impl<'p> Simulator<'p> {
                 programs.push((
                     d,
                     self.programs
-                        .quantized_cone_program(self.pattern, &cone, &self.params, fmt),
+                        .cone_program(self.pattern, &cone, &self.params, false),
                     taps,
                 ));
                 if record {
                     shapes.push((d, Vec::new()));
                 }
             }
-            let (_, qc, taps) = programs
+            let (_, cc, taps) = programs
                 .iter()
                 .find(|(pd, ..)| *pd == d)
                 .expect("program built above");
             let (next, firings) = qvm::cone_level_quantized(
-                qc,
+                cc,
+                fmt,
                 &state,
                 self.border,
                 self.threads,

@@ -28,7 +28,7 @@ use isl_tests::prop::check;
 use isl_hls::analyze::{self, Analysis, WordRange};
 use isl_hls::cosim::{eval_cone_raw_traced, CoSimulator, MaskSchedule};
 use isl_hls::prelude::*;
-use isl_hls::sim::{synthetic, CompiledCone, CompiledPattern, Instr, QuantizedCone, QuantizedStep};
+use isl_hls::sim::{synthetic, CompiledCone, CompiledPattern, Instr, QuantizedStep};
 
 fn corpus_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus"))
@@ -105,7 +105,7 @@ fn corpus_compiles_verify_and_facts_contain_replay() {
                     .unwrap_or_else(|e| panic!("{}: f64 kernel {i}: {e}", entry.name));
             }
         }
-        analyze::verify_step(&QuantizedStep::compile(&pattern, &params, fmt))
+        analyze::verify_step(&QuantizedStep::compile(&pattern, &params))
             .unwrap_or_else(|e| panic!("{}: quantized step: {e}", entry.name));
 
         let Ok(cone) = Cone::build(&pattern, window, cfg.depth) else {
@@ -113,9 +113,10 @@ fn corpus_compiles_verify_and_facts_contain_replay() {
         };
         let cc = CompiledCone::compile_with(&cone, &params, true);
         analyze::verify_cone(&cc).unwrap_or_else(|e| panic!("{}: cone: {e}", entry.name));
-        let qc = QuantizedCone::compile(&cone, &params, fmt);
-        analyze::verify_quantized_cone(&qc)
-            .unwrap_or_else(|e| panic!("{}: quantized cone: {e}", entry.name));
+        // The unfolded cone: the program the quantised engines run.
+        let unfolded = CompiledCone::compile_with(&cone, &params, false);
+        analyze::verify_cone(&unfolded)
+            .unwrap_or_else(|e| panic!("{}: unfolded cone: {e}", entry.name));
 
         // Full-rail facts contain a real bit-true replay.
         let analysis = Analysis::of_cone(&cc, fmt, WordRange::full(fmt))
