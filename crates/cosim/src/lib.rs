@@ -4,9 +4,10 @@
 //! the *generated hardware* compute the same thing. This crate closes that
 //! loop executably, without an FPGA or a VHDL simulator in the container:
 //!
-//! * an **integer-domain fixed-point VM** ([`vm`]) — a scalar sibling of
-//!   `isl_sim::vm` that executes the same [`isl_sim::CompiledCone`]
-//!   bytecode on raw `i64` words through the hardware datapath
+//! * an **integer-domain fixed-point VM** ([`vm`]) — a scalar interpreter
+//!   of the same [`isl_sim::CompiledCone`] bytecode that `isl-sim`'s
+//!   compiled engine runs as lanes, one firing at a time on raw `i64` words
+//!   through the hardware datapath
 //!   ([`isl_fpga::FixedFormat::apply_unary`] /
 //!   [`apply_binary`](isl_fpga::FixedFormat::apply_binary)): saturating
 //!   adds, truncating widened multiplies and divides, non-restoring square

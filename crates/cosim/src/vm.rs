@@ -1,8 +1,9 @@
 //! The integer-domain fixed-point VM.
 //!
-//! A scalar sibling of `isl_sim::vm` that executes the *same* compiled cone
-//! bytecode ([`CompiledCone`] programs) on raw `i64` fixed-point words
-//! instead of `f64` samples. Every instruction goes through the
+//! A scalar interpreter of the *same* compiled cone bytecode
+//! ([`CompiledCone`] programs) that `isl-sim`'s compiled engine runs as
+//! structure-of-arrays lanes, executing one firing at a time on raw `i64`
+//! fixed-point words. Every instruction goes through the
 //! integer datapath of [`FixedFormat::apply_unary`] /
 //! [`FixedFormat::apply_binary`]: saturating adds, truncating widened
 //! multiplies and divides, non-restoring square root — exactly the

@@ -22,8 +22,9 @@
 //! fixed-point format, since the engines quantise each [`Instr::Const`]
 //! where it is read.
 //!
-//! Execution lives in the crate's VM modules; the [`crate::Simulator`]
-//! compiles lazily and serves programs from a [`ProgramCache`].
+//! Execution lives in the crate's engine, one for both number domains; the
+//! [`crate::Simulator`] compiles lazily and serves programs from a
+//! [`ProgramCache`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

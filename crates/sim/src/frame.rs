@@ -133,6 +133,11 @@ impl Frame {
         &self.data
     }
 
+    /// Raw samples, row-major, mutably (the tree walks commit through it).
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Consume the frame, returning its sample storage. Used by the engine's
     /// double-buffered stepping to recycle output allocations.
     pub fn into_vec(self) -> Vec<f64> {

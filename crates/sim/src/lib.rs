@@ -25,6 +25,18 @@
 //! * [`synthetic`] — deterministic frame generators standing in for the
 //!   paper's camera images.
 //!
+//! ## One engine, two number domains
+//!
+//! Every semantics runs in two number domains: exact `f64` samples, and the
+//! raw words of a hardware fixed-point format ([`isl_fpga::FixedFormat`],
+//! which every quantised entry point takes). The crate writes each
+//! simulation once, generic over a crate-private number-domain trait that
+//! names the few operations where the two differ — constant load, `Select`
+//! truthiness, scalar and span unary/binary operations, the
+//! constant-operand kernels (which `f64` declines) and a sample-store hook
+//! — and monomorphises it per domain, so every engine dispatches
+//! statically with no per-element branch on the domain.
+//!
 //! ## The compiled execution engine
 //!
 //! The whole-frame and cone-DAG paths — [`Simulator::step`],
@@ -50,38 +62,40 @@
 //!   program before allocation whenever that shrinks the peak further —
 //!   15–45 % fewer slots on the wide IGF/Chambolle cones, never more
 //!   (the compiler keeps whichever order allocates smaller).
-//! * The VM evaluates each frame in **three planes**: an *interior plane*
-//!   where every stencil tap is statically in-bounds (reads become raw
-//!   row-slice copies and the program runs instruction-at-a-time over whole
-//!   row spans, which vectorises), plus *border strips* that fall back to
-//!   per-pixel evaluation with full [`BorderMode`] resolution. Cone-DAG
-//!   window tiles run as structure-of-arrays *lanes* — one lane per tile,
-//!   arithmetic amortised across a whole band of tiles.
-//! * Steps are **double-buffered**: run loops recycle the retiring frame
-//!   set's uniquely-owned allocations as the next step's output buffers, so
-//!   long runs stop paying the allocator per iteration.
+//! * The engine evaluates each frame in **three planes**: an *interior
+//!   plane* where every stencil tap is statically in-bounds (reads become
+//!   raw row-slice copies and the program runs instruction-at-a-time over
+//!   whole row spans, which vectorises), plus *border strips* that run
+//!   the same spans with every read [`BorderMode`]-resolved.
+//!   Cone-DAG window tiles run as structure-of-arrays *lanes* — one lane
+//!   per tile, arithmetic amortised across a whole band of tiles. One row
+//!   evaluator, one lane evaluator and one banded executor serve both
+//!   domains.
+//! * Steps are **double-buffered**: run loops recycle the retiring state's
+//!   uniquely-owned planes as the next step's output buffers, so long runs
+//!   stop paying the allocator per iteration. The `f64` state is the
+//!   caller's frames themselves, so a run copies no frame on entry or exit.
 //! * Work is distributed over a **persistent worker pool** ([`parallel`]):
 //!   threads are spawned once per process and parked between calls, cutting
 //!   the per-step spawn overhead that used to eat the engine's gains on
-//!   small frames. Interior rows parallelise in contiguous row bands, cone
-//!   levels in bands of whole tile rows; tune with
+//!   small frames. Whole-frame steps parallelise in contiguous row bands,
+//!   cone levels in bands of whole tile rows; tune with
 //!   [`Simulator::with_threads`] (default: one per core, automatically
 //!   serial for tiny frames).
 //!
 //! ## The quantised datapath
 //!
-//! Each compiled semantics also has a **quantised** variant —
-//! [`Simulator::run_quantized`] and [`Simulator::run_cone_dag_quantized`] —
-//! that runs entirely in the **raw word domain** of a hardware fixed-point
-//! format ([`isl_fpga::FixedFormat`], which every quantised entry point
-//! takes): frames are quantised once on entry, every instruction is a
-//! saturating integer operation (`i128`-widened truncating multiply/divide,
-//! saturating add/sub — exactly the datapath the generated VHDL
-//! implements), and words dequantise once on exit.
-//! [`Simulator::record_cone_dag_quantized`] is the cone-DAG run that also
-//! records every cone firing: the one engine run `IslSession::certify`
-//! makes, whose golden vectors it verifies against an independent oracle.
-//! Three design decisions make this both fast and trustworthy:
+//! In the fixed-point domain — [`Simulator::run_quantized`] and
+//! [`Simulator::run_cone_dag_quantized`] — the same engines run entirely in
+//! the **raw word domain** of the format: frames are quantised once on
+//! entry, every instruction is a saturating integer operation
+//! (`i128`-widened truncating multiply/divide, saturating add/sub — exactly
+//! the datapath the generated VHDL implements), and words dequantise once
+//! on exit. [`Simulator::record_cone_dag_quantized`] is the cone-DAG run
+//! that also records every cone firing: the one engine run
+//! `IslSession::certify` makes, whose golden vectors it verifies against an
+//! independent oracle. Three design decisions make this both fast and
+//! trustworthy:
 //!
 //! * **One program for every format.** The quantised engines run the same
 //!   [`Instr`] bytecode as the `f64` engines, lowered fold-free so every
@@ -96,16 +110,17 @@
 //!   first probe.
 //! * **Lane kernels are shared with the hardware model.** The span-wise
 //!   saturating kernels (`FixedFormat::unary_span` / `binary_span` in
-//!   `isl-fpga`) are the *single* bit-true definition of the datapath:
-//!   this crate's two quantised engines (whole-frame row evaluator and cone
-//!   SoA lanes — mirroring the `f64` planes above) and the `isl-cosim`
-//!   integer VM all execute them, so a property test of any engine against
-//!   the tree-walking raw-word references transitively pins the others.
+//!   `isl-fpga`) are the *single* bit-true definition of the datapath: the
+//!   engine's fixed-point domain and the `isl-cosim` integer VM both
+//!   execute them, so a property test of either engine against the
+//!   tree-walking raw-word references transitively pins the others.
 //! * **Cone outputs retire as they stream.** Slot allocation lets an
 //!   output's register die at its defining instruction; evaluators scatter
 //!   each output to its destination frame the moment it is produced, so the
 //!   live set of a wide cone stays below its output count and SoA lane
 //!   scratch shrinks accordingly.
+//!
+//! ## The oracles
 //!
 //! The tree-walking interpreters survive as [`Simulator::step_reference`] /
 //! [`Simulator::run_reference`] / [`Simulator::run_quantized_reference`] /
@@ -115,6 +130,17 @@
 //! for every pattern, border mode, window shape, depth, fixed-point format
 //! and thread count (see `tests/tests/compiled_engine_props.rs`,
 //! `tests/tests/tiled_engine_props.rs` and `tests/tests/cosim_props.rs`).
+//! Their traversal (tiles, halos, level buffers, border resolution,
+//! commits) is written once too, generic over the domain, with the
+//! domain's own evaluator plugged in: [`isl_ir::Expr::eval`] and
+//! [`isl_ir::Cone::eval`] for `f64`, their raw-word counterparts for fixed
+//! point. The oracles share nothing with the compiled engines beyond the
+//! scalar operations. Bit-identical includes NaNs: the `f64` domain stores
+//! one canonical quiet NaN wherever an engine or a tree walk stores a
+//! sample, because Rust leaves the sign and payload of an arithmetic NaN
+//! unspecified (an optimised build may swap a commutative operation's
+//! operands) while whether a result is NaN is deterministic.
+//!
 //! The tiled tree walks [`Simulator::run_tiled_reference`] and
 //! [`Simulator::run_tiled_quantized_reference`] are the oracles for the
 //! paper's two exactness claims: tiled equals whole-frame for local
@@ -159,16 +185,15 @@
 
 mod border;
 pub mod compile;
+mod engine;
 mod error;
 mod fixed;
 mod frame;
 pub mod harness;
 mod metrics;
 pub mod parallel;
-mod qvm;
 mod sim;
 pub mod synthetic;
-mod vm;
 
 pub use border::BorderMode;
 pub use compile::{

@@ -1,6 +1,5 @@
 //! Engine op-class telemetry: per-instruction-class element tallies for the
-//! compiled f64 engines ([`crate::vm`]) and the quantised engines
-//! ([`crate::qvm`]).
+//! compiled engines ([`crate::engine`]) in both number domains.
 //!
 //! Call sites sit at rect/chunk granularity, where the element count is
 //! known exactly (every element of a rect or lane chunk executes the whole
@@ -45,23 +44,13 @@ fn class(instr: &Instr, quantized: bool) -> &'static str {
     }
 }
 
-fn tally(code: &[Instr], elems: u64, quantized: bool) {
+/// Tally `elems` executions of every instruction of a program on a
+/// compiled engine: under `engine.q.` when `quantized`, else `engine.f64.`.
+pub(crate) fn tally(code: &[Instr], elems: u64, quantized: bool) {
     if elems == 0 {
         return;
     }
     for instr in code {
         isl_telemetry::add(class(instr, quantized), elems);
     }
-}
-
-/// Tally `elems` executions of every instruction of a program on an `f64`
-/// engine.
-pub(crate) fn tally_instrs(code: &[Instr], elems: u64) {
-    tally(code, elems, false);
-}
-
-/// Tally `elems` executions of every instruction of a program on a
-/// quantised engine.
-pub(crate) fn tally_qinstrs(code: &[Instr], elems: u64) {
-    tally(code, elems, true);
 }

@@ -1,9 +1,9 @@
 //! Deterministic data parallelism over a persistent worker pool.
 //!
 //! The build must work fully offline, so instead of `rayon` this module
-//! provides the primitives the flow needs: row-band parallelism for the
-//! compiled frame engine, tile-band parallelism for the cone-architecture
-//! paths ([`for_each_task`]) and order-preserving [`par_map`] for the
+//! provides the primitives the flow needs: band parallelism for the
+//! compiled engines (bands of whole rows or whole tile rows,
+//! [`for_each_task`]) and order-preserving [`par_map`] for the
 //! design-space sweep. All of them produce results that are **bit-identical
 //! for every thread count** — work is partitioned statically into contiguous
 //! chunks and reassembled in order, so parallelism only changes wall-clock
@@ -324,42 +324,6 @@ where
     WorkerPool::global().execute(chunks.len(), &task);
 }
 
-/// Split `out` (a row-major buffer of `width`-sample rows) into contiguous
-/// whole-row bands and run `f(first_row, band)` on each, in parallel when
-/// `threads != 1`. Bands are disjoint, so any schedule writes the same bytes.
-///
-/// # Panics
-///
-/// Panics if `out.len()` is not a multiple of `width`.
-pub fn for_each_row_band<T, F>(out: &mut [T], width: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(
-        width > 0 && out.len().is_multiple_of(width),
-        "buffer must be whole rows"
-    );
-    let rows = out.len() / width;
-    let t = effective_threads(threads).min(rows).max(1);
-    if t <= 1 {
-        f(0, out);
-        return;
-    }
-    let rows_per_band = rows.div_ceil(t);
-    let mut bands = Vec::with_capacity(t);
-    let mut rest = out;
-    let mut first_row = 0;
-    while !rest.is_empty() {
-        let take = (rows_per_band * width).min(rest.len());
-        let (band, tail) = rest.split_at_mut(take);
-        rest = tail;
-        bands.push((first_row, band));
-        first_row += take / width;
-    }
-    for_each_task(bands, threads, |(y0, band)| f(y0, band));
-}
-
 /// Map `f` over `items` on up to `threads` workers, preserving input order
 /// exactly (contiguous chunks, reassembled in sequence).
 ///
@@ -409,22 +373,6 @@ mod tests {
         let serial = par_map(items.clone(), 1, |x| x * x);
         for t in [2, 3, 8, 64] {
             assert_eq!(par_map(items.clone(), t, |x| x * x), serial);
-        }
-    }
-
-    #[test]
-    fn row_bands_cover_everything_once() {
-        let width = 7;
-        for threads in [1, 2, 3, 5, 16] {
-            let mut buf = vec![0.0; width * 23];
-            for_each_row_band(&mut buf, width, threads, |y0, band| {
-                for (i, v) in band.iter_mut().enumerate() {
-                    *v += (y0 * width + i) as f64 + 1.0;
-                }
-            });
-            for (i, v) in buf.iter().enumerate() {
-                assert_eq!(*v, (i + 1) as f64, "slot {i} with {threads} threads");
-            }
         }
     }
 

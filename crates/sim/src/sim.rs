@@ -1,17 +1,22 @@
 //! Golden, tiled and cone-DAG execution of stencil patterns.
+//!
+//! The public entry points pick a semantics, an engine and a number
+//! domain; every compiled run goes through the generic engines of
+//! [`crate::engine`], and every tree walk through the generic traversals
+//! below, each written once for both domains with the domain's own
+//! evaluator plugged in.
 
 use std::sync::Arc;
 
-use isl_ir::{Cone, ConeCache, FieldId, FieldKind, StencilPattern, Window};
+use isl_ir::{Cone, ConeCache, FieldId, FieldKind, Offset, Point, StencilPattern, Window};
 
 use isl_fpga::FixedFormat;
 
 use crate::border::BorderMode;
 use crate::compile::{CompiledCone, CompiledPattern, ProgramCache};
+use crate::engine::{self, Domain, Exact, Firing, LevelRecord, Planes, RowProgram};
 use crate::error::SimError;
-use crate::frame::{Frame, FrameSet};
-use crate::qvm::{self, WordSet};
-use crate::vm;
+use crate::frame::FrameSet;
 
 /// Result of a fixed-point run ([`Simulator::run_until_converged`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,6 +57,9 @@ pub struct ConeDagRecording {
     /// depth, then a remainder depth): the depth and its firings.
     pub shapes: Vec<(u32, Vec<ConeFiring>)>,
 }
+
+/// The firings of a cone-DAG run per distinct depth, in a domain's words.
+type Shapes<W> = Vec<(u32, Vec<Firing<W>>)>;
 
 /// Executes a [`StencilPattern`] on frames under three semantics: golden
 /// whole-frame iteration, hardware-faithful cone-DAG evaluation, and exact
@@ -161,7 +169,8 @@ impl<'p> Simulator<'p> {
     /// The compiled bytecode program for this pattern + parameter binding
     /// (built on first use, served from the program cache afterwards).
     pub fn compiled(&self) -> Arc<CompiledPattern> {
-        self.programs.pattern_program(self.pattern, &self.params, true)
+        self.programs
+            .pattern_program(self.pattern, &self.params, true)
     }
 
     /// The pattern being simulated.
@@ -195,7 +204,7 @@ impl<'p> Simulator<'p> {
         &self.programs
     }
 
-    fn check(&self, state: &FrameSet) -> Result<(), SimError> {
+    pub(crate) fn check(&self, state: &FrameSet) -> Result<(), SimError> {
         if state.len() != self.pattern.fields().len() {
             return Err(SimError::FieldCountMismatch {
                 expected: self.pattern.fields().len(),
@@ -214,9 +223,7 @@ impl<'p> Simulator<'p> {
     /// [`SimError::FieldCountMismatch`] when the frame set does not match the
     /// pattern.
     pub fn step(&self, state: &FrameSet) -> Result<FrameSet, SimError> {
-        self.check(state)?;
-        let program = self.compiled();
-        Ok(vm::step_compiled(&program, state, self.border, self.threads))
+        self.run(state, 1)
     }
 
     /// One whole-frame iteration through the tree-walking interpreter — the
@@ -227,36 +234,7 @@ impl<'p> Simulator<'p> {
     ///
     /// Same as [`Simulator::step`].
     pub fn step_reference(&self, state: &FrameSet) -> Result<FrameSet, SimError> {
-        self.check(state)?;
-        let (w, h) = (state.width(), state.height());
-        let mut next = Vec::with_capacity(state.len());
-        for (i, decl) in self.pattern.fields().iter().enumerate() {
-            let fid = FieldId::new(i as u16);
-            match decl.kind {
-                FieldKind::Static => next.push(state.frame_arc(i)),
-                FieldKind::Dynamic => {
-                    let update = self.pattern.update(fid).expect("validated pattern");
-                    let mut out = Frame::new(w, h);
-                    for y in 0..h {
-                        for x in 0..w {
-                            let v = update.eval(
-                                &|f: FieldId, o: isl_ir::Offset| {
-                                    state.frame(f.index()).sample(
-                                        x as i64 + o.dx as i64,
-                                        y as i64 + o.dy as i64,
-                                        self.border,
-                                    )
-                                },
-                                &|p: isl_ir::ParamId| self.params[p.index()],
-                            );
-                            out.set(x, y, v);
-                        }
-                    }
-                    next.push(std::sync::Arc::new(out));
-                }
-            }
-        }
-        Ok(FrameSet::from_shared(next).expect("shapes preserved"))
+        self.run_reference(state, 1)
     }
 
     /// `iterations` golden whole-frame steps through the tree-walking
@@ -266,11 +244,8 @@ impl<'p> Simulator<'p> {
     ///
     /// Same as [`Simulator::step`].
     pub fn run_reference(&self, init: &FrameSet, iterations: u32) -> Result<FrameSet, SimError> {
-        let mut state = init.clone();
-        for _ in 0..iterations {
-            state = self.step_reference(&state)?;
-        }
-        Ok(state)
+        self.check(init)?;
+        Ok(self.run_walk(Exact, init, iterations))
     }
 
     /// `iterations` golden whole-frame steps.
@@ -286,14 +261,7 @@ impl<'p> Simulator<'p> {
     pub fn run(&self, init: &FrameSet, iterations: u32) -> Result<FrameSet, SimError> {
         self.check(init)?;
         let program = self.compiled();
-        let mut state = init.clone();
-        let mut spare: Option<FrameSet> = None;
-        for _ in 0..iterations {
-            let next =
-                vm::step_compiled_into(&program, &state, self.border, self.threads, spare.take());
-            spare = Some(std::mem::replace(&mut state, next));
-        }
-        Ok(state)
+        Ok(self.run_steps(Exact, &RowProgram::kernels(&program), init, iterations))
     }
 
     /// Iterate until the max-abs delta of the dynamic fields drops below
@@ -311,38 +279,87 @@ impl<'p> Simulator<'p> {
     ) -> Result<(FrameSet, ConvergenceReport), SimError> {
         self.check(init)?;
         let program = self.compiled();
-        let mut state = init.clone();
-        let mut spare: Option<FrameSet> = None;
-        let mut delta = f64::INFINITY;
+        let programs = RowProgram::kernels(&program);
+        let mut state = Exact.load(init);
+        let mut spare = None;
+        let mut report = ConvergenceReport {
+            iterations: max_iterations,
+            delta: f64::INFINITY,
+            converged: false,
+        };
         for i in 0..max_iterations {
-            let next =
-                vm::step_compiled_into(&program, &state, self.border, self.threads, spare.take());
-            delta = self
+            let next = engine::step(
+                Exact,
+                &programs,
+                &state,
+                self.border,
+                self.threads,
+                spare.take(),
+            );
+            report.delta = self
                 .pattern
                 .dynamic_fields()
                 .iter()
-                .map(|f| state.frame(f.index()).max_abs_diff(next.frame(f.index())))
+                .map(|f| state.plane(f.index()).max_abs_diff(next.plane(f.index())))
                 .fold(0.0, f64::max);
             spare = Some(std::mem::replace(&mut state, next));
-            if delta < epsilon {
-                return Ok((
-                    state,
-                    ConvergenceReport {
-                        iterations: i + 1,
-                        delta,
-                        converged: true,
-                    },
-                ));
+            if report.delta < epsilon {
+                report.iterations = i + 1;
+                report.converged = true;
+                break;
             }
         }
-        Ok((
-            state,
-            ConvergenceReport {
-                iterations: max_iterations,
-                delta,
-                converged: false,
-            },
-        ))
+        Ok((Exact.unload(state), report))
+    }
+
+    /// `iterations` compiled whole-frame steps of `programs` in domain `d`,
+    /// double-buffered.
+    pub(crate) fn run_steps<D: Domain>(
+        &self,
+        d: D,
+        programs: &[RowProgram<'_>],
+        init: &FrameSet,
+        iterations: u32,
+    ) -> FrameSet {
+        let mut state = d.load(init);
+        let mut spare = None;
+        for _ in 0..iterations {
+            let next = engine::step(d, programs, &state, self.border, self.threads, spare.take());
+            spare = Some(std::mem::replace(&mut state, next));
+        }
+        d.unload(state)
+    }
+
+    /// `iterations` tree-walking whole-frame steps in domain `d`.
+    pub(crate) fn run_walk<D: Domain>(&self, d: D, init: &FrameSet, iterations: u32) -> FrameSet {
+        let mut state = d.load(init);
+        for _ in 0..iterations {
+            state = self.walk_step(d, &state);
+        }
+        d.unload(state)
+    }
+
+    /// One tree-walking whole-frame step: every dynamic field's update
+    /// evaluated per element by the domain's evaluator.
+    fn walk_step<D: Domain>(&self, d: D, state: &Planes<D>) -> Planes<D> {
+        let (w, h) = (state.width() as i64, state.height() as i64);
+        let constant = d.border(self.border);
+        let mut next = state.clone();
+        for f in self.pattern.dynamic_fields() {
+            let update = self.pattern.update(f).expect("validated pattern");
+            let mut out = Vec::with_capacity((w * h) as usize);
+            for y in 0..h {
+                for x in 0..w {
+                    let read = |rf: FieldId, o: Offset| {
+                        let at = (x + i64::from(o.dx), y + i64::from(o.dy));
+                        state.sample(rf.index(), at, self.border, constant)
+                    };
+                    out.push(D::store(d.eval_expr(update, &read, &self.params)));
+                }
+            }
+            next.set(f.index(), out);
+        }
+        next
     }
 
     // -- tiled (cone-architecture) oracle -------------------------------------
@@ -373,12 +390,7 @@ impl<'p> Simulator<'p> {
         window: Window,
         depth: u32,
     ) -> Result<FrameSet, SimError> {
-        self.check_tiled(init, depth)?;
-        let mut state = init.clone();
-        for d in level_depths(iterations, depth) {
-            state = self.tiled_level(&state, window, d)?;
-        }
-        Ok(state)
+        self.run_tiled_walk(Exact, init, iterations, window, depth)
     }
 
     /// Forwards to [`Simulator::run_tiled_quantized_reference`]. Kept only
@@ -416,15 +428,17 @@ impl<'p> Simulator<'p> {
         depth: u32,
         fmt: FixedFormat,
     ) -> Result<FrameSet, SimError> {
-        self.check_tiled(init, depth)?;
-        let mut state = WordSet::quantize(init, fmt);
-        for d in level_depths(iterations, depth) {
-            state = self.tiled_level_raw(&state, window, d, fmt)?;
-        }
-        Ok(state.dequantize(fmt))
+        self.run_tiled_walk(fmt, init, iterations, window, depth)
     }
 
-    fn check_tiled(&self, init: &FrameSet, depth: u32) -> Result<(), SimError> {
+    fn run_tiled_walk<D: Domain>(
+        &self,
+        d: D,
+        init: &FrameSet,
+        iterations: u32,
+        window: Window,
+        depth: u32,
+    ) -> Result<FrameSet, SimError> {
         self.check(init)?;
         if depth == 0 {
             return Err(SimError::Cone("cone depth must be at least 1".into()));
@@ -432,289 +446,141 @@ impl<'p> Simulator<'p> {
         if !self.border.is_local() {
             return Err(SimError::NonLocalBorder);
         }
-        Ok(())
+        let mut state = d.load(init);
+        for l in level_depths(iterations, depth) {
+            state = self.tiled_level(d, &state, window, l);
+        }
+        Ok(d.unload(state))
     }
 
-    /// One reference level: apply depth-`d` cones over every window tile.
-    fn tiled_level(
+    /// One tiled level: apply depth-`depth` cones over every window tile.
+    fn tiled_level<D: Domain>(
         &self,
-        state: &FrameSet,
+        d: D,
+        state: &Planes<D>,
         window: Window,
-        d: u32,
-    ) -> Result<FrameSet, SimError> {
-        let (w, h) = (state.width() as i64, state.height() as i64);
-        let r = self.pattern.radius() as i64;
-        let mut next: Vec<Arc<Frame>> = state.frames().to_vec();
-
+        depth: u32,
+    ) -> Planes<D> {
         // Field id → dynamic slot, computed once per level instead of a
         // linear scan on every dynamic read inside the tile hot loop.
-        let dyn_fields = self.pattern.dynamic_fields();
-        let (_, dyn_index) = vm::dyn_slot_map(
+        let (_, dyn_index) = engine::dyn_slot_map(
             self.pattern.fields().len(),
-            dyn_fields.iter().map(|f| f.index()),
+            self.pattern.dynamic_fields().iter().map(|f| f.index()),
         );
-
+        let mut next = state.clone();
         let (tw, th) = (window.w as i64, window.h as i64);
-        let mut ty = 0;
-        while ty < h {
-            let mut tx = 0;
-            while tx < w {
-                self.tile(state, &mut next, (tx, ty), (tw, th), d, r, &dyn_index)?;
-                tx += tw;
+        for ty in (0..state.height() as i64).step_by(th as usize) {
+            for tx in (0..state.width() as i64).step_by(tw as usize) {
+                self.tile(d, state, &mut next, (tx, ty), (tw, th), depth, &dyn_index);
             }
-            ty += th;
         }
-        Ok(FrameSet::from_shared(next).expect("shapes preserved"))
+        next
     }
 
-    /// Compute one tile through `d` levels, reading `state`, writing `next`.
+    /// Compute one tile through `depth` levels, reading `state`, writing
+    /// `next`.
     #[allow(clippy::too_many_arguments)]
-    fn tile(
+    fn tile<D: Domain>(
         &self,
-        state: &FrameSet,
-        next: &mut [Arc<Frame>],
+        d: D,
+        state: &Planes<D>,
+        next: &mut Planes<D>,
         (tx, ty): (i64, i64),
         (tw, th): (i64, i64),
-        d: u32,
-        r: i64,
+        depth: u32,
         dyn_index: &[Option<usize>],
-    ) -> Result<(), SimError> {
+    ) {
         let (w, h) = (state.width() as i64, state.height() as i64);
+        let r = i64::from(self.pattern.radius());
+        let constant = d.border(self.border);
         let dyn_fields = self.pattern.dynamic_fields();
 
         // Level extents, clipped to the frame: level `l` needs the tile grown
-        // by radius x (d - l).
+        // by radius x (depth - l).
         let rect = |l: u32| -> (i64, i64, i64, i64) {
-            let halo = r * (d - l) as i64;
+            let halo = r * i64::from(depth - l);
             let x0 = (tx - halo).max(0);
             let y0 = if h > 1 { (ty - halo).max(0) } else { 0 };
             let x1 = (tx + tw - 1 + halo).min(w - 1);
-            let y1 = if h > 1 { (ty + th - 1 + halo).min(h - 1) } else { 0 };
+            let y1 = if h > 1 {
+                (ty + th - 1 + halo).min(h - 1)
+            } else {
+                0
+            };
             (x0, y0, x1, y1)
         };
 
         // Level-0 buffers: direct copies of the current state over ext(0).
-        let (x0, y0, x1, y1) = rect(0);
-        let (bw, bh) = ((x1 - x0 + 1) as usize, (y1 - y0 + 1) as usize);
-        let mut bufs: Vec<Vec<f64>> = dyn_fields
+        let mut buf_rect = rect(0);
+        let (x0, y0, x1, y1) = buf_rect;
+        let mut bufs: Vec<Vec<D::Word>> = dyn_fields
             .iter()
             .map(|f| {
-                let fr = state.frame(f.index());
-                let mut b = vec![0.0; bw * bh];
-                for yy in 0..bh as i64 {
-                    for xx in 0..bw as i64 {
-                        b[(yy * bw as i64 + xx) as usize] =
-                            fr.get((x0 + xx) as usize, (y0 + yy) as usize);
-                    }
-                }
-                b
+                let words = state.words(f.index());
+                (y0..=y1)
+                    .flat_map(|y| &words[(y * w + x0) as usize..=(y * w + x1) as usize])
+                    .copied()
+                    .collect()
             })
             .collect();
-        let mut buf_rect = (x0, y0, x1, y1);
 
-        for l in 1..=d {
+        for l in 1..=depth {
             let (nx0, ny0, nx1, ny1) = rect(l);
-            let (nbw, nbh) = ((nx1 - nx0 + 1) as usize, (ny1 - ny0 + 1) as usize);
-            let mut new_bufs: Vec<Vec<f64>> = dyn_fields
-                .iter()
-                .map(|_| vec![0.0; nbw * nbh])
-                .collect();
             let (px0, py0, px1, py1) = buf_rect;
             let pbw = (px1 - px0 + 1) as usize;
-            for (di, f) in dyn_fields.iter().enumerate() {
-                let update = self.pattern.update(*f).expect("validated pattern");
-                for yy in ny0..=ny1 {
-                    for xx in nx0..=nx1 {
-                        let read = |rf: FieldId, o: isl_ir::Offset| {
-                            let (qx, qy) = (xx + o.dx as i64, yy + o.dy as i64);
-                            if self.pattern.field(rf).kind == FieldKind::Static {
-                                return state.frame(rf.index()).sample(qx, qy, self.border);
-                            }
-                            // Border-resolve at absolute frame coordinates,
-                            // then look up in the previous level's buffer.
-                            // (Resolve y even for height-1 frames: a
-                            // rank-2 pattern can tap dy ≠ 0 there, and
-                            // the golden run border-resolves it.)
-                            let rx = self.border.resolve(qx, w);
-                            let ry = self.border.resolve(qy, h);
-                            match (rx, ry) {
-                                (Some(rx), Some(ry)) => {
-                                    debug_assert!(
-                                        rx >= px0 && rx <= px1 && ry >= py0 && ry <= py1,
-                                        "tile halo must cover border-resolved reads"
+            let new_bufs = dyn_fields
+                .iter()
+                .map(|f| {
+                    let update = self.pattern.update(*f).expect("validated pattern");
+                    let mut out = Vec::with_capacity(((nx1 - nx0 + 1) * (ny1 - ny0 + 1)) as usize);
+                    for yy in ny0..=ny1 {
+                        for xx in nx0..=nx1 {
+                            let read = |rf: FieldId, o: Offset| {
+                                let (qx, qy) = (xx + i64::from(o.dx), yy + i64::from(o.dy));
+                                if self.pattern.field(rf).kind == FieldKind::Static {
+                                    return state.sample(
+                                        rf.index(),
+                                        (qx, qy),
+                                        self.border,
+                                        constant,
                                     );
-                                    let di2 = dyn_index[rf.index()].expect("dynamic read");
-                                    bufs[di2][((ry - py0) as usize) * pbw + (rx - px0) as usize]
                                 }
-                                _ => self
-                                    .border
-                                    .constant_value()
-                                    .expect("non-resolving border is Constant"),
-                            }
-                        };
-                        let param = |p: isl_ir::ParamId| self.params[p.index()];
-                        let v = update.eval(&read, &param);
-                        new_bufs[di][((yy - ny0) as usize) * nbw + (xx - nx0) as usize] = v;
+                                // Border-resolve at absolute frame coordinates,
+                                // then look up in the previous level's buffer.
+                                // (Resolve y even for height-1 frames: a
+                                // rank-2 pattern can tap dy ≠ 0 there, and
+                                // the golden run border-resolves it.)
+                                match (self.border.resolve(qx, w), self.border.resolve(qy, h)) {
+                                    (Some(rx), Some(ry)) => {
+                                        debug_assert!(
+                                            rx >= px0 && rx <= px1 && ry >= py0 && ry <= py1,
+                                            "tile halo must cover border-resolved reads"
+                                        );
+                                        let di = dyn_index[rf.index()].expect("dynamic read");
+                                        bufs[di][((ry - py0) as usize) * pbw + (rx - px0) as usize]
+                                    }
+                                    _ => constant,
+                                }
+                            };
+                            out.push(D::store(d.eval_expr(update, &read, &self.params)));
+                        }
                     }
-                }
-            }
+                    out
+                })
+                .collect();
             bufs = new_bufs;
             buf_rect = (nx0, ny0, nx1, ny1);
         }
 
-        // Commit the top level into the output frames.
+        // Commit the top level into the output planes.
         let (fx0, fy0, fx1, fy1) = buf_rect;
         let fbw = (fx1 - fx0 + 1) as usize;
-        for (di, f) in dyn_fields.iter().enumerate() {
-            let out = Arc::make_mut(&mut next[f.index()]);
-            for yy in fy0..=fy1 {
-                for xx in fx0..=fx1 {
-                    out.set(
-                        xx as usize,
-                        yy as usize,
-                        bufs[di][((yy - fy0) as usize) * fbw + (xx - fx0) as usize],
-                    );
-                }
+        for (buf, f) in bufs.iter().zip(&dyn_fields) {
+            let out = next.words_mut(f.index());
+            for (row, yy) in buf.chunks(fbw).zip(fy0..=fy1) {
+                out[(yy * w + fx0) as usize..=(yy * w + fx1) as usize].copy_from_slice(row);
             }
         }
-        Ok(())
-    }
-
-    /// One quantised reference level in the raw word domain — mirrors
-    /// [`Simulator::tiled_level`] with `FixedFormat` node semantics.
-    fn tiled_level_raw(
-        &self,
-        state: &WordSet,
-        window: Window,
-        d: u32,
-        fmt: FixedFormat,
-    ) -> Result<WordSet, SimError> {
-        let (w, h) = (state.width() as i64, state.height() as i64);
-        let r = self.pattern.radius() as i64;
-        let mut next: Vec<Arc<Vec<i64>>> = (0..state.len()).map(|i| state.words_arc(i)).collect();
-        let dyn_fields = self.pattern.dynamic_fields();
-        let (_, dyn_index) = vm::dyn_slot_map(
-            self.pattern.fields().len(),
-            dyn_fields.iter().map(|f| f.index()),
-        );
-        let (tw, th) = (window.w as i64, window.h as i64);
-        let mut ty = 0;
-        while ty < h {
-            let mut tx = 0;
-            while tx < w {
-                self.tile_raw(state, &mut next, (tx, ty), (tw, th), d, r, &dyn_index, fmt)?;
-                tx += tw;
-            }
-            ty += th;
-        }
-        Ok(WordSet::from_shared(
-            state.width(),
-            state.height(),
-            next,
-        ))
-    }
-
-    /// Compute one tile through `d` raw-word levels — mirrors
-    /// [`Simulator::tile`] with every node one `FixedFormat` operation.
-    #[allow(clippy::too_many_arguments)]
-    fn tile_raw(
-        &self,
-        state: &WordSet,
-        next: &mut [Arc<Vec<i64>>],
-        (tx, ty): (i64, i64),
-        (tw, th): (i64, i64),
-        d: u32,
-        r: i64,
-        dyn_index: &[Option<usize>],
-        fmt: FixedFormat,
-    ) -> Result<(), SimError> {
-        let (w, h) = (state.width() as i64, state.height() as i64);
-        let braw = qvm::border_raw(self.border, fmt);
-        let dyn_fields = self.pattern.dynamic_fields();
-
-        let rect = |l: u32| -> (i64, i64, i64, i64) {
-            let halo = r * (d - l) as i64;
-            let x0 = (tx - halo).max(0);
-            let y0 = if h > 1 { (ty - halo).max(0) } else { 0 };
-            let x1 = (tx + tw - 1 + halo).min(w - 1);
-            let y1 = if h > 1 { (ty + th - 1 + halo).min(h - 1) } else { 0 };
-            (x0, y0, x1, y1)
-        };
-
-        // Level-0 buffers: verbatim word copies of the current state.
-        let (x0, y0, x1, y1) = rect(0);
-        let (bw, bh) = ((x1 - x0 + 1) as usize, (y1 - y0 + 1) as usize);
-        let mut bufs: Vec<Vec<i64>> = dyn_fields
-            .iter()
-            .map(|f| {
-                let fr = state.words(f.index());
-                let mut b = vec![0i64; bw * bh];
-                for yy in 0..bh as i64 {
-                    for xx in 0..bw as i64 {
-                        b[(yy * bw as i64 + xx) as usize] =
-                            fr[((y0 + yy) * w + x0 + xx) as usize];
-                    }
-                }
-                b
-            })
-            .collect();
-        let mut buf_rect = (x0, y0, x1, y1);
-
-        for l in 1..=d {
-            let (nx0, ny0, nx1, ny1) = rect(l);
-            let (nbw, nbh) = ((nx1 - nx0 + 1) as usize, (ny1 - ny0 + 1) as usize);
-            let mut new_bufs: Vec<Vec<i64>> = dyn_fields
-                .iter()
-                .map(|_| vec![0i64; nbw * nbh])
-                .collect();
-            let (px0, py0, px1, py1) = buf_rect;
-            let pbw = (px1 - px0 + 1) as usize;
-            for (di, f) in dyn_fields.iter().enumerate() {
-                let update = self.pattern.update(*f).expect("validated pattern");
-                for yy in ny0..=ny1 {
-                    for xx in nx0..=nx1 {
-                        let read = |rf: FieldId, o: isl_ir::Offset| {
-                            let (qx, qy) = (xx + o.dx as i64, yy + o.dy as i64);
-                            if self.pattern.field(rf).kind == FieldKind::Static {
-                                return state.sample(rf.index(), qx, qy, self.border, braw);
-                            }
-                            let rx = self.border.resolve(qx, w);
-                            let ry = self.border.resolve(qy, h);
-                            match (rx, ry) {
-                                (Some(rx), Some(ry)) => {
-                                    debug_assert!(
-                                        rx >= px0 && rx <= px1 && ry >= py0 && ry <= py1,
-                                        "tile halo must cover border-resolved reads"
-                                    );
-                                    let di2 = dyn_index[rf.index()].expect("dynamic read");
-                                    bufs[di2][((ry - py0) as usize) * pbw + (rx - px0) as usize]
-                                }
-                                _ => braw,
-                            }
-                        };
-                        let param = |p: isl_ir::ParamId| self.params[p.index()];
-                        let v = qvm::eval_expr_raw(update, &read, &param, fmt);
-                        new_bufs[di][((yy - ny0) as usize) * nbw + (xx - nx0) as usize] = v;
-                    }
-                }
-            }
-            bufs = new_bufs;
-            buf_rect = (nx0, ny0, nx1, ny1);
-        }
-
-        // Commit the top level into the output word buffers.
-        let (fx0, fy0, fx1, fy1) = buf_rect;
-        let fbw = (fx1 - fx0 + 1) as usize;
-        for (di, f) in dyn_fields.iter().enumerate() {
-            let out = Arc::make_mut(&mut next[f.index()]);
-            for yy in fy0..=fy1 {
-                for xx in fx0..=fx1 {
-                    out[(yy * w + xx) as usize] =
-                        bufs[di][((yy - fy0) as usize) * fbw + (xx - fx0) as usize];
-                }
-            }
-        }
-        Ok(())
     }
 
     // -- cone-DAG semantics ---------------------------------------------------
@@ -731,7 +597,7 @@ impl<'p> Simulator<'p> {
     ///
     /// Each distinct level depth is lowered **once** to a flat multi-output
     /// bytecode program ([`crate::compile::CompiledCone`]) and executed tile
-    /// by tile on the VM — bit-identical to
+    /// by tile on the compiled engine — bit-identical to
     /// [`Simulator::run_cone_dag_reference`] (tests enforce it) for every
     /// thread count.
     ///
@@ -746,41 +612,8 @@ impl<'p> Simulator<'p> {
         window: Window,
         depth: u32,
     ) -> Result<FrameSet, SimError> {
-        self.check(init)?;
-        if depth == 0 {
-            return Err(SimError::Cone("cone depth must be at least 1".into()));
-        }
-        let (tw, th) = (window.w as i64, window.h as i64);
-        // At most two distinct depths appear (the main one plus a possible
-        // remainder); fetch each from the program cache exactly once.
-        let mut programs: Vec<(u32, Arc<CompiledCone>)> = Vec::new();
-        let mut state = init.clone();
-        let mut spare: Option<FrameSet> = None;
-        for d in level_depths(iterations, depth) {
-            if !programs.iter().any(|(pd, _)| *pd == d) {
-                let cone = self.build_cone(window, d)?;
-                programs.push((
-                    d,
-                    self.programs
-                        .cone_program(self.pattern, &cone, &self.params, true),
-                ));
-            }
-            let cc = &programs
-                .iter()
-                .find(|(pd, _)| *pd == d)
-                .expect("program built above")
-                .1;
-            let next = vm::cone_level_compiled(
-                cc,
-                &state,
-                self.border,
-                self.threads,
-                (tw, th),
-                spare.take(),
-            );
-            spare = Some(std::mem::replace(&mut state, next));
-        }
-        Ok(state)
+        self.run_cone_levels(Exact, init, iterations, window, depth, false)
+            .map(|(frames, _)| frames)
     }
 
     /// [`Simulator::run_cone_dag`] in fixed point — the exact numeric
@@ -805,8 +638,8 @@ impl<'p> Simulator<'p> {
         depth: u32,
         fmt: FixedFormat,
     ) -> Result<FrameSet, SimError> {
-        self.cone_dag_quantized(init, iterations, window, depth, fmt, false)
-            .map(|run| run.frames)
+        self.run_cone_levels(fmt, init, iterations, window, depth, false)
+            .map(|(frames, _)| frames)
     }
 
     /// [`Simulator::run_cone_dag_quantized`] that also records every cone
@@ -828,78 +661,94 @@ impl<'p> Simulator<'p> {
         depth: u32,
         fmt: FixedFormat,
     ) -> Result<ConeDagRecording, SimError> {
-        self.cone_dag_quantized(init, iterations, window, depth, fmt, true)
+        let (frames, shapes) = self.run_cone_levels(fmt, init, iterations, window, depth, true)?;
+        let shapes = shapes
+            .into_iter()
+            .map(|(d, fired)| {
+                let fired = fired
+                    .into_iter()
+                    .map(|f| ConeFiring {
+                        level: f.level,
+                        tile: f.tile,
+                        inputs: f.inputs,
+                        outputs: f.outputs,
+                    })
+                    .collect();
+                (d, fired)
+            })
+            .collect();
+        Ok(ConeDagRecording { frames, shapes })
     }
 
-    fn cone_dag_quantized(
+    /// Compiled cone-DAG levels in domain `d`: the folded cone programs for
+    /// `f64`, the fold-free ones (every graph node rounds) for fixed point,
+    /// each distinct depth fetched from the program cache once. With
+    /// `record`, also every firing per distinct depth, in first-use order.
+    fn run_cone_levels<D: Domain>(
         &self,
+        d: D,
         init: &FrameSet,
         iterations: u32,
         window: Window,
         depth: u32,
-        fmt: FixedFormat,
         record: bool,
-    ) -> Result<ConeDagRecording, SimError> {
+    ) -> Result<(FrameSet, Shapes<D::Word>), SimError> {
         self.check(init)?;
         if depth == 0 {
             return Err(SimError::Cone("cone depth must be at least 1".into()));
         }
         let (tw, th) = (window.w as i64, window.h as i64);
-        // Per distinct depth: the fold-free program and, when recording,
-        // the cone's base-input taps in input-port order.
+        // At most two distinct depths appear (the main one plus a possible
+        // remainder). Per depth: the program and, when recording, the
+        // cone's base-input taps in input-port order.
         type Shape = (u32, Arc<CompiledCone>, Vec<(u16, i32, i32)>);
         let mut programs: Vec<Shape> = Vec::new();
-        let mut shapes: Vec<(u32, Vec<ConeFiring>)> = Vec::new();
-        let mut state = WordSet::quantize(init, fmt);
-        let mut spare: Option<WordSet> = None;
-        for (level, d) in level_depths(iterations, depth).into_iter().enumerate() {
-            if !programs.iter().any(|(pd, ..)| *pd == d) {
-                let cone = self.build_cone(window, d)?;
-                let taps = if record {
-                    cone.inputs()
-                        .iter()
-                        .chain(cone.static_inputs())
+        let mut shapes: Shapes<D::Word> = Vec::new();
+        let mut state = d.load(init);
+        let mut spare = None;
+        for (level, l) in level_depths(iterations, depth).into_iter().enumerate() {
+            if !programs.iter().any(|(pd, ..)| *pd == l) {
+                let cone = self.build_cone(window, l)?;
+                let taps: Vec<(u16, i32, i32)> = if record {
+                    let inputs = cone.inputs().iter().chain(cone.static_inputs());
+                    inputs
                         .map(|i| (i.field.index() as u16, i.point.x, i.point.y))
                         .collect()
                 } else {
                     Vec::new()
                 };
-                programs.push((
-                    d,
-                    self.programs
-                        .cone_program(self.pattern, &cone, &self.params, false),
-                    taps,
-                ));
+                let fold = !D::QUANTIZED;
+                let cc = self
+                    .programs
+                    .cone_program(self.pattern, &cone, &self.params, fold);
+                programs.push((l, cc, taps));
                 if record {
-                    shapes.push((d, Vec::new()));
+                    shapes.push((l, Vec::new()));
                 }
             }
             let (_, cc, taps) = programs
                 .iter()
-                .find(|(pd, ..)| *pd == d)
+                .find(|(pd, ..)| *pd == l)
                 .expect("program built above");
-            let (next, firings) = qvm::cone_level_quantized(
+            let (next, firings) = engine::cone_level(
+                d,
                 cc,
-                fmt,
                 &state,
                 self.border,
                 self.threads,
                 (tw, th),
                 spare.take(),
-                record.then_some(qvm::LevelRecord {
+                record.then_some(LevelRecord {
                     level: level as u32,
                     taps,
                 }),
             );
-            if let Some((_, fired)) = shapes.iter_mut().find(|(sd, _)| *sd == d) {
+            if let Some((_, fired)) = shapes.iter_mut().find(|(sd, _)| *sd == l) {
                 fired.extend(firings);
             }
             spare = Some(std::mem::replace(&mut state, next));
         }
-        Ok(ConeDagRecording {
-            frames: state.dequantize(fmt),
-            shapes,
-        })
+        Ok((d.unload(state), shapes))
     }
 
     /// [`Simulator::run_cone_dag_quantized`] through a tree-walking graph
@@ -917,16 +766,7 @@ impl<'p> Simulator<'p> {
         depth: u32,
         fmt: FixedFormat,
     ) -> Result<FrameSet, SimError> {
-        self.check(init)?;
-        if depth == 0 {
-            return Err(SimError::Cone("cone depth must be at least 1".into()));
-        }
-        let mut state = WordSet::quantize(init, fmt);
-        for d in level_depths(iterations, depth) {
-            let cone = self.build_cone(window, d)?;
-            state = self.cone_level_raw(&state, &cone, fmt)?;
-        }
-        Ok(state.dequantize(fmt))
+        self.run_cone_walk(fmt, init, iterations, window, depth)
     }
 
     /// [`Simulator::run_cone_dag`] through [`Cone::eval`]'s tree-walking
@@ -944,127 +784,53 @@ impl<'p> Simulator<'p> {
         window: Window,
         depth: u32,
     ) -> Result<FrameSet, SimError> {
+        self.run_cone_walk(Exact, init, iterations, window, depth)
+    }
+
+    fn run_cone_walk<D: Domain>(
+        &self,
+        d: D,
+        init: &FrameSet,
+        iterations: u32,
+        window: Window,
+        depth: u32,
+    ) -> Result<FrameSet, SimError> {
         self.check(init)?;
         if depth == 0 {
             return Err(SimError::Cone("cone depth must be at least 1".into()));
         }
-        let mut state = init.clone();
-        for d in level_depths(iterations, depth) {
-            let cone = self.build_cone(window, d)?;
-            state = self.cone_level(&state, &cone)?;
+        let mut state = d.load(init);
+        for l in level_depths(iterations, depth) {
+            let cone = self.build_cone(window, l)?;
+            state = self.cone_walk_level(d, &state, &cone);
         }
-        Ok(state)
+        Ok(d.unload(state))
     }
 
-    fn cone_level(&self, state: &FrameSet, cone: &Cone) -> Result<FrameSet, SimError> {
+    /// One tree-walking cone level: the domain's graph evaluator per window
+    /// tile, base reads border-resolved, outputs past the frame edge
+    /// dropped.
+    fn cone_walk_level<D: Domain>(&self, d: D, state: &Planes<D>, cone: &Cone) -> Planes<D> {
         let (w, h) = (state.width() as i64, state.height() as i64);
+        let constant = d.border(self.border);
         let window = cone.window();
-        let mut next: Vec<Arc<Frame>> = state.frames().to_vec();
-        let (tw, th) = (window.w as i64, window.h as i64);
-        let mut ty = 0;
-        while ty < h {
-            let mut tx = 0;
-            while tx < w {
-                let read = |f: isl_ir::FieldId, p: isl_ir::Point| {
-                    state
-                        .frame(f.index())
-                        .sample(tx + p.x as i64, ty + p.y as i64, self.border)
+        let mut next = state.clone();
+        for ty in (0..h).step_by(window.h as usize) {
+            for tx in (0..w).step_by(window.w as usize) {
+                let read = |f: FieldId, p: Point| {
+                    let at = (tx + i64::from(p.x), ty + i64::from(p.y));
+                    state.sample(f.index(), at, self.border, constant)
                 };
-                for (f, p, v) in cone.eval(read, &self.params) {
-                    let (ax, ay) = (tx + p.x as i64, ty + p.y as i64);
+                for (f, p, v) in d.eval_cone(cone, read, &self.params) {
+                    let (ax, ay) = (tx + i64::from(p.x), ty + i64::from(p.y));
                     if ax < w && ay < h {
-                        Arc::make_mut(&mut next[f.index()]).set(ax as usize, ay as usize, v);
+                        next.words_mut(f.index())[(ay * w + ax) as usize] = D::store(v);
                     }
                 }
-                tx += tw;
             }
-            ty += th;
         }
-        Ok(FrameSet::from_shared(next).expect("shapes preserved"))
+        next
     }
-
-    /// One cone level over raw words — the tree-walking golden reference of
-    /// the quantised cone engine.
-    fn cone_level_raw(
-        &self,
-        state: &WordSet,
-        cone: &Cone,
-        fmt: FixedFormat,
-    ) -> Result<WordSet, SimError> {
-        let (w, h) = (state.width() as i64, state.height() as i64);
-        let braw = qvm::border_raw(self.border, fmt);
-        let window = cone.window();
-        let mut next: Vec<Arc<Vec<i64>>> =
-            (0..state.len()).map(|i| state.words_arc(i)).collect();
-        let (tw, th) = (window.w as i64, window.h as i64);
-        let mut ty = 0;
-        while ty < h {
-            let mut tx = 0;
-            while tx < w {
-                let read = |f: isl_ir::FieldId, p: isl_ir::Point| {
-                    state.sample(
-                        f.index(),
-                        tx + p.x as i64,
-                        ty + p.y as i64,
-                        self.border,
-                        braw,
-                    )
-                };
-                for (f, p, v) in eval_cone_graph_raw(cone, read, &self.params, fmt) {
-                    let (ax, ay) = (tx + p.x as i64, ty + p.y as i64);
-                    if ax < w && ay < h {
-                        Arc::make_mut(&mut next[f.index()])[(ay * w + ax) as usize] = v;
-                    }
-                }
-                tx += tw;
-            }
-            ty += th;
-        }
-        Ok(WordSet::from_shared(w as usize, h as usize, next))
-    }
-}
-
-/// Evaluate a cone's dataflow graph in the raw word domain: every node is
-/// one saturating `FixedFormat` operation (selects forward words unrounded,
-/// like the hardware mux) — the tree-walking golden reference of the
-/// quantised cone engine.
-fn eval_cone_graph_raw<R>(
-    cone: &Cone,
-    read: R,
-    params: &[f64],
-    fmt: FixedFormat,
-) -> Vec<(isl_ir::FieldId, isl_ir::Point, i64)>
-where
-    R: Fn(isl_ir::FieldId, isl_ir::Point) -> i64,
-{
-    use isl_ir::{Leaf, Node};
-    let graph = cone.graph();
-    let mut vals: Vec<i64> = Vec::with_capacity(graph.len());
-    for (_, node) in graph.nodes() {
-        let v = match node {
-            Node::Leaf(Leaf::Input { field, point }) | Node::Leaf(Leaf::Static { field, point }) => {
-                read(*field, *point)
-            }
-            Node::Leaf(Leaf::Const(c)) => fmt.quantize(c.value()),
-            Node::Leaf(Leaf::Param(p)) => fmt.quantize(params[p.index()]),
-            Node::Unary { op, arg } => fmt.apply_unary(*op, vals[arg.index()]),
-            Node::Binary { op, lhs, rhs } => {
-                fmt.apply_binary(*op, vals[lhs.index()], vals[rhs.index()])
-            }
-            Node::Select { cond, then_, else_ } => {
-                if vals[cond.index()] != 0 {
-                    vals[then_.index()]
-                } else {
-                    vals[else_.index()]
-                }
-            }
-        };
-        vals.push(v);
-    }
-    cone.outputs()
-        .iter()
-        .map(|o| (o.field, o.point, vals[o.node.index()]))
-        .collect()
 }
 
 /// Decompose `iterations` into cone levels of `depth` plus a remainder level
@@ -1083,7 +849,8 @@ pub fn level_depths(iterations: u32, depth: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isl_ir::{BinaryOp, Expr, Offset};
+    use crate::frame::Frame;
+    use isl_ir::{BinaryOp, Expr};
 
     fn jacobi() -> StencilPattern {
         let mut p = StencilPattern::new(2).with_name("jacobi");
@@ -1109,8 +876,16 @@ mod tests {
         let g = p.add_field("g", FieldKind::Static);
         let e = Expr::binary(
             BinaryOp::Add,
-            Expr::binary(BinaryOp::Mul, Expr::input(f, Offset::ZERO), Expr::constant(0.5)),
-            Expr::binary(BinaryOp::Mul, Expr::input(g, Offset::ZERO), Expr::constant(0.5)),
+            Expr::binary(
+                BinaryOp::Mul,
+                Expr::input(f, Offset::ZERO),
+                Expr::constant(0.5),
+            ),
+            Expr::binary(
+                BinaryOp::Mul,
+                Expr::input(g, Offset::ZERO),
+                Expr::constant(0.5),
+            ),
         );
         p.set_update(f, e).unwrap();
         p
@@ -1210,8 +985,9 @@ mod tests {
     fn tiled_multi_field_with_static() {
         let p = relax_to_static();
         let sim = Simulator::new(&p).unwrap();
-        let init = FrameSet::from_frames(vec![noisy(10, 10), Frame::from_fn(10, 10, |x, _| x as f64)])
-            .unwrap();
+        let init =
+            FrameSet::from_frames(vec![noisy(10, 10), Frame::from_fn(10, 10, |x, _| x as f64)])
+                .unwrap();
         let golden = sim.run(&init, 4).unwrap();
         let tiled = sim
             .run_tiled_reference(&init, 4, Window::square(3), 2)
@@ -1254,7 +1030,11 @@ mod tests {
     fn compiled_cone_dag_matches_reference_bitwise() {
         let p = jacobi();
         let init = FrameSet::from_frames(vec![noisy(22, 15)]).unwrap();
-        for border in [BorderMode::Clamp, BorderMode::Wrap, BorderMode::Constant(0.5)] {
+        for border in [
+            BorderMode::Clamp,
+            BorderMode::Wrap,
+            BorderMode::Constant(0.5),
+        ] {
             for threads in [1, 2, 4] {
                 let sim = Simulator::new(&p)
                     .unwrap()
@@ -1287,7 +1067,9 @@ mod tests {
         let init = FrameSet::from_frames(vec![noisy(24, 24)]).unwrap();
         let iters = 4u32;
         let golden = sim.run(&init, iters).unwrap();
-        let dag = sim.run_cone_dag(&init, iters, Window::square(4), 2).unwrap();
+        let dag = sim
+            .run_cone_dag(&init, iters, Window::square(4), 2)
+            .unwrap();
         let margin = (p.radius() * iters) as usize;
         for y in margin..24 - margin {
             for x in margin..24 - margin {
@@ -1317,7 +1099,11 @@ mod tests {
         let f = p.add_field("f", FieldKind::Dynamic);
         p.set_update(
             f,
-            Expr::binary(BinaryOp::Add, Expr::input(f, Offset::ZERO), Expr::constant(1.0)),
+            Expr::binary(
+                BinaryOp::Add,
+                Expr::input(f, Offset::ZERO),
+                Expr::constant(1.0),
+            ),
         )
         .unwrap();
         let sim = Simulator::new(&p).unwrap();
@@ -1335,7 +1121,11 @@ mod tests {
         let tau = p.add_param("tau", 0.5);
         p.set_update(
             f,
-            Expr::binary(BinaryOp::Mul, Expr::input(f, Offset::ZERO), Expr::param(tau)),
+            Expr::binary(
+                BinaryOp::Mul,
+                Expr::input(f, Offset::ZERO),
+                Expr::param(tau),
+            ),
         )
         .unwrap();
         let init = FrameSet::from_frames(vec![Frame::from_samples(&[8.0])]).unwrap();
@@ -1361,7 +1151,10 @@ mod tests {
         let bad = FrameSet::from_frames(vec![noisy(4, 4), noisy(4, 4)]).unwrap();
         assert!(matches!(
             sim.step(&bad),
-            Err(SimError::FieldCountMismatch { expected: 1, got: 2 })
+            Err(SimError::FieldCountMismatch {
+                expected: 1,
+                got: 2
+            })
         ));
     }
 }

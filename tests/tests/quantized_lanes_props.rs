@@ -11,7 +11,11 @@
 //!    against the tree-walking raw-word references, across the width
 //!    ladder {8, 18, 31, 54, 63, 64}, every local border mode and the
 //!    worker-thread matrix {1, 2, 4}; at the wide end, the tiled tree walk
-//!    against the whole-frame one as well.
+//!    against the whole-frame one as well;
+//! 3. the **two number domains** against each other: where fixed-point
+//!    arithmetic is exact (integer values, no division or square root, a
+//!    format wide enough that nothing rounds or saturates), every engine
+//!    and tree walk computes the `f64` run's values.
 //!
 //! Together with `cosim_props.rs` (which pins the same engines to
 //! `isl-cosim`'s integer VM and `isl_fpga::eval_fixed`), these make the
@@ -22,8 +26,10 @@ use isl_tests::arb::{arb_local_border, arb_pattern, arb_window, assert_bitwise_e
 use isl_tests::prop::{check, Rng};
 
 use isl_hls::fpga::FixedFormat;
-use isl_hls::ir::{BinaryOp, UnaryOp};
+use isl_hls::ir::{BinaryOp, Expr, FieldId, FieldKind, Offset, StencilPattern, UnaryOp};
 use isl_hls::prelude::*;
+use isl_hls::sim::harness::{run_f64, run_quantized, Engine, RunSpec, Semantics};
+use isl_hls::sim::Frame;
 
 const THREAD_MATRIX: [usize; 3] = [1, 2, 4];
 
@@ -241,7 +247,6 @@ fn quantized_tiled_and_cone_dag_match_reference_at_wide_widths() {
 /// `i64` arithmetic would overflow.
 #[test]
 fn saturating_runs_pin_to_rails_at_wide_widths() {
-    use isl_hls::ir::{Expr, FieldKind, Offset, StencilPattern};
     for width in [31, 54, 63, 64] {
         let fmt = FixedFormat::new(width, 2);
         let mut p = StencilPattern::new(2).with_name("double");
@@ -257,7 +262,7 @@ fn saturating_runs_pin_to_rails_at_wide_widths() {
         .unwrap();
         let sim = Simulator::new(&p).expect("valid pattern");
         // Even width keeps flat index parity equal to column parity.
-        let init = FrameSet::from_frames(vec![isl_hls::sim::Frame::from_fn(8, 6, |x, _| {
+        let init = FrameSet::from_frames(vec![Frame::from_fn(8, 6, |x, _| {
             if x % 2 == 0 {
                 fmt.max_value()
             } else {
@@ -275,4 +280,126 @@ fn saturating_runs_pin_to_rails_at_wide_widths() {
             assert_eq!(v, rail, "width {width} sample {i} left the rail: {v}");
         }
     }
+}
+
+/// An update over the operations that are exact in fixed point on integer
+/// values: add, sub, neg, abs, min, max, the compares, select, and
+/// multiplication by an integer constant of magnitude at most 4. Leaves
+/// are taps of radius ≤ 2 and integer constants in `-4..=4`. No node
+/// grows the largest magnitude below it more than fourfold.
+fn arb_exact_expr(rng: &mut Rng, fields: &[FieldId], depth: u32) -> Expr {
+    let small = |rng: &mut Rng| Expr::constant(f64::from(rng.i32_in(-4, 4)));
+    if depth == 0 || rng.weighted(&[1, 4]) == 0 {
+        if rng.weighted(&[3, 1]) == 1 {
+            return small(rng);
+        }
+        let f = fields[rng.usize_in(0, fields.len() - 1)];
+        return Expr::input(f, Offset::d2(rng.i32_in(-2, 2), rng.i32_in(-2, 2)));
+    }
+    let sub = |rng: &mut Rng| arb_exact_expr(rng, fields, depth - 1);
+    match rng.weighted(&[4, 2, 2, 1]) {
+        0 => {
+            use BinaryOp::*;
+            let op = [Add, Sub, Min, Max, Lt, Le, Gt, Ge][rng.usize_in(0, 7)];
+            Expr::binary(op, sub(rng), sub(rng))
+        }
+        1 => Expr::unary([UnaryOp::Neg, UnaryOp::Abs][rng.usize_in(0, 1)], sub(rng)),
+        2 => {
+            let (x, c) = (sub(rng), small(rng));
+            let (a, b) = if rng.bool() { (x, c) } else { (c, x) };
+            Expr::binary(BinaryOp::Mul, a, b)
+        }
+        _ => Expr::select(sub(rng), sub(rng), sub(rng)),
+    }
+}
+
+/// The two number domains agree wherever fixed point is exact. Frames and
+/// the border constant hold integers in `-8..=8`, updates come from
+/// [`arb_exact_expr`] with depth ≤ 3, and runs last ≤ 3 iterations, so
+/// every value any engine computes stays below `8 · (4³)³ = 2²¹` in
+/// magnitude (a cone level of depth `k` is `k` updates composed). Formats
+/// keep at least 25 integer bits and at most 32 fractional ones, so no
+/// word rounds or saturates and every word dequantises exactly. Then the
+/// dequantised run equals the `f64` run bit for bit in whole-frame and
+/// cone-DAG semantics, on the compiled engines and the tree walks, for
+/// threads {1, 2, 4}. The one exception fixed point cannot express is the
+/// sign of zero: IEEE gives `-0.0` for `neg(0)` or `0 × -3`, so the `f64`
+/// side is compared as `x + 0.0`, which maps `-0.0` to `+0.0` and keeps
+/// every other value's bits.
+#[test]
+fn number_domains_agree_where_fixed_point_is_exact() {
+    check(
+        "number_domains_agree_where_fixed_point_is_exact",
+        24,
+        |rng| {
+            let mut pattern = StencilPattern::new(2).with_name("exact");
+            let n_fields = rng.usize_in(1, 2);
+            let fields: Vec<(FieldId, FieldKind)> = (0..n_fields)
+                .map(|i| {
+                    let kind = if i == 0 || rng.bool() {
+                        FieldKind::Dynamic
+                    } else {
+                        FieldKind::Static
+                    };
+                    (pattern.add_field(format!("f{i}"), kind), kind)
+                })
+                .collect();
+            let ids: Vec<FieldId> = fields.iter().map(|&(id, _)| id).collect();
+            for &(id, kind) in &fields {
+                if kind == FieldKind::Dynamic {
+                    let depth = rng.u32_in(1, 3);
+                    let e = arb_exact_expr(rng, &ids, depth);
+                    pattern.set_update(id, e).expect("dynamic field");
+                }
+            }
+            let border = match rng.weighted(&[1, 1, 1, 1]) {
+                0 => BorderMode::Clamp,
+                1 => BorderMode::Mirror,
+                2 => BorderMode::Wrap,
+                _ => BorderMode::Constant(f64::from(rng.i32_in(-8, 8))),
+            };
+            let (w, h) = (rng.usize_in(1, 12), rng.usize_in(1, 12));
+            let frames = (0..n_fields)
+                .map(|_| Frame::from_fn(w, h, |_, _| f64::from(rng.i32_in(-8, 8))))
+                .collect();
+            let init = FrameSet::from_frames(frames).expect("congruent frames");
+            let width = [32, 40, 54, 63, 64][rng.usize_in(0, 4)];
+            let fmt = FixedFormat::new(width, rng.u32_in(0, (width - 25).min(32)));
+            for semantics in Semantics::ALL {
+                let spec = RunSpec {
+                    semantics,
+                    iterations: rng.u32_in(1, 3),
+                    window: arb_window(rng),
+                    depth: rng.u32_in(1, 3),
+                };
+                for engine in Engine::ALL {
+                    for threads in THREAD_MATRIX {
+                        let sim = Simulator::new(&pattern)
+                            .expect("valid pattern")
+                            .with_border(border)
+                            .with_threads(threads);
+                        let exact = run_f64(&sim, spec, engine, &init).expect("f64 run");
+                        let fixed =
+                            run_quantized(&sim, spec, engine, &init, fmt).expect("fixed run");
+                        let what = format!(
+                            "{} {} {w}x{h} border {border} {spec:?} {fmt} threads {threads}",
+                            semantics.name(),
+                            engine.name()
+                        );
+                        for fi in 0..init.len() {
+                            let pairs = exact.frame(fi).as_slice().iter();
+                            let pairs = pairs.zip(fixed.frame(fi).as_slice());
+                            for (i, (&x, &y)) in pairs.enumerate() {
+                                assert_eq!(
+                                    (x + 0.0).to_bits(),
+                                    y.to_bits(),
+                                    "{what}: field {fi} slot {i}: {x} vs {y}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        },
+    );
 }
