@@ -10,14 +10,24 @@
 //! the value), and the [`ARTIFACT_CODEC_VERSION`] that invalidates all
 //! persisted bytes wholesale whenever any encoding changes.
 //!
-//! Every codec is exact: `f64`s travel by bit pattern, so a disk-served
-//! artifact is bit-identical to the cold recompute it replaced
-//! (property-tested in `tests/tests/persist_props.rs`). Payloads that
-//! fail to decode — truncation survived the checksum odds, or a foreign
-//! tool wrote the record — are discarded and counted as corrupt; the
-//! caller falls back to a cold build. Never a panic.
+//! Each golden-vector set is stored once, as the vector record of its run
+//! key, in a compact binary codec: header fields, then per firing its
+//! level, tile and every raw word as zigzag LEB128 varints. Certificates
+//! and format-search outcomes do not embed their vectors: a certificate
+//! record is decoded together with the vector record of its run key, and
+//! a search record with the vector record of its run at the chosen format.
+//! A missing or undecodable vector record makes them cold misses, so the
+//! vectors are recorded again rather than served stale.
+//!
+//! Every codec is exact: `f64`s travel by bit pattern and words by value,
+//! so a disk-served artifact is bit-identical to the cold recompute it
+//! replaced (property-tested in `tests/tests/persist_props.rs`). Payloads
+//! that fail to decode — truncation survived the checksum odds, or a
+//! foreign tool wrote the record — are discarded and counted as corrupt;
+//! the caller falls back to a cold build. Never a panic.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use isl_dse::{Calibration, ConeFacts};
 use isl_estimate::{Architecture, AreaEstimator};
@@ -25,7 +35,7 @@ use isl_fpga::{FixedFormat, SynthCache, SynthKey, SynthesisReport};
 use isl_ir::Window;
 use isl_persist::{ByteReader, ByteWriter, DecodeError, DiskStore};
 use isl_sim::{Frame, FrameSet};
-use isl_vhdl::VectorFile;
+use isl_vhdl::{VectorFile, VectorRecord};
 
 use crate::error::FlowError;
 use crate::session::{ArchitectureCertificate, ErrorBudget, FormatProbe, FormatSearchOutcome};
@@ -36,8 +46,11 @@ use crate::store::{CalibrationKey, RefKey, RunKey, SearchKey};
 /// encoding change**, and when a stored field changes meaning — stale
 /// files are then invalidated wholesale instead of half-decoded or served
 /// stale. Version 2: `ArchitectureCertificate::quantized_elements` counts
-/// the elements of one certified run, not two engine pairs.
-pub const ARTIFACT_CODEC_VERSION: u64 = 2;
+/// the elements of one certified run, not two engine pairs. Version 3:
+/// golden-vector sets are binary (varint words) and stored once, as their
+/// own record, which certificates and search outcomes reference by run key
+/// instead of embedding a copy.
+pub const ARTIFACT_CODEC_VERSION: u64 = 3;
 
 const KIND_CALIBRATION: u8 = 1;
 const KIND_VECTORS: u8 = 2;
@@ -92,6 +105,24 @@ fn put_u32_vec(w: &mut ByteWriter, v: &[u32]) {
     for &x in v {
         w.put_u32(x);
     }
+}
+
+fn put_str_vec(w: &mut ByteWriter, v: &[String]) {
+    w.put_u32(v.len() as u32);
+    for s in v {
+        w.put_str(s);
+    }
+}
+
+fn get_str_vec(r: &mut ByteReader<'_>) -> Result<Vec<String>, DecodeError> {
+    let n = r.u32()? as usize;
+    // Each string carries a four-byte length prefix, so a hostile count
+    // cannot reserve more than the bytes left could hold.
+    let mut out = Vec::with_capacity(n.min(r.remaining() / 4));
+    for _ in 0..n {
+        out.push(r.str()?.to_string());
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -245,31 +276,84 @@ fn decode_calibration(bytes: &[u8]) -> Result<Calibration, DecodeError> {
     Ok(Calibration::from_parts(iterations, syntheses, estimators, facts))
 }
 
-/// Golden-vector sets reuse the exchange text format — the exact
-/// round-trip `tests` already pin (`VectorFile::parse(to_text()) == self`).
+/// A golden-vector set: per file its header fields, then per firing its
+/// level, tile and every stimulus and response word, all as varints (a
+/// Q8.10 word takes two or three bytes).
 fn encode_vectors(files: &[VectorFile]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u32(files.len() as u32);
     for f in files {
-        w.put_str(&f.to_text());
+        w.put_str(&f.entity);
+        put_format(&mut w, f.format);
+        put_window(&mut w, f.window);
+        w.put_u32(f.depth);
+        put_str_vec(&mut w, &f.ports_in);
+        put_str_vec(&mut w, &f.ports_out);
+        w.put_u32(f.records.len() as u32);
+        for rec in &f.records {
+            w.put_varint(i64::from(rec.level));
+            w.put_varint(rec.tile.0);
+            w.put_varint(rec.tile.1);
+            for &word in rec.stimulus.iter().chain(&rec.response) {
+                w.put_varint(word);
+            }
+        }
     }
     w.into_inner()
+}
+
+fn get_words(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<i64>, DecodeError> {
+    let mut words = Vec::with_capacity(n);
+    for _ in 0..n {
+        words.push(r.varint()?);
+    }
+    Ok(words)
 }
 
 fn decode_vectors(bytes: &[u8]) -> Result<Vec<VectorFile>, DecodeError> {
     let mut r = ByteReader::new(bytes);
     let n = r.u32()? as usize;
-    let mut files = Vec::with_capacity(n.min(1024));
+    let mut files = Vec::with_capacity(n.min(r.remaining() / 32));
     for _ in 0..n {
-        let text = r.str()?;
-        files.push(
-            VectorFile::parse(text).map_err(|e| DecodeError(format!("vector file: {e}")))?,
-        );
+        let entity = r.str()?.to_string();
+        let format = get_format(&mut r)?;
+        let window = get_window(&mut r)?;
+        let depth = r.u32()?;
+        let ports_in = get_str_vec(&mut r)?;
+        let ports_out = get_str_vec(&mut r)?;
+        let n_records = r.u32()? as usize;
+        // A firing takes at least one byte per varint, which bounds what a
+        // hostile record count may reserve.
+        let min_record = 3 + ports_in.len() + ports_out.len();
+        let mut records = Vec::with_capacity(n_records.min(r.remaining() / min_record));
+        for _ in 0..n_records {
+            let level = r.varint()?;
+            let level = u32::try_from(level)
+                .map_err(|_| DecodeError(format!("invalid vector level {level}")))?;
+            let tile = (r.varint()?, r.varint()?);
+            records.push(VectorRecord {
+                level,
+                tile,
+                stimulus: get_words(&mut r, ports_in.len())?,
+                response: get_words(&mut r, ports_out.len())?,
+            });
+        }
+        files.push(VectorFile {
+            entity,
+            format,
+            window,
+            depth,
+            ports_in,
+            ports_out,
+            records,
+        });
     }
     r.expect_end()?;
     Ok(files)
 }
 
+/// A certificate without its golden vectors: those are the vector record of
+/// its run key, which the tier decodes alongside.
 fn encode_certificate(c: &ArchitectureCertificate) -> Vec<u8> {
     let mut w = ByteWriter::new();
     put_window(&mut w, c.arch.window);
@@ -278,7 +362,6 @@ fn encode_certificate(c: &ArchitectureCertificate) -> Vec<u8> {
     w.put_u32(c.iterations);
     put_format(&mut w, c.format);
     w.put_usize(c.quantized_elements);
-    w.put_bytes(&encode_vectors(&c.vector_files));
     w.put_usize(c.vector_records);
     w.put_usize(c.vector_words);
     w.put_f64(c.max_fixed_error);
@@ -288,23 +371,20 @@ fn encode_certificate(c: &ArchitectureCertificate) -> Vec<u8> {
     w.into_inner()
 }
 
+/// The fields [`encode_certificate`] wrote; `vector_files` comes back
+/// empty for the caller to resolve.
 fn decode_certificate_fields(
     r: &mut ByteReader<'_>,
 ) -> Result<ArchitectureCertificate, DecodeError> {
     let window = get_window(r)?;
     let depth = r.u32()?;
     let cores = r.u32()?;
-    let arch = Architecture::new(window, depth, cores);
-    let iterations = r.u32()?;
-    let format = get_format(r)?;
-    let quantized_elements = r.usize()?;
-    let vector_files = decode_vectors(r.bytes()?)?;
     Ok(ArchitectureCertificate {
-        arch,
-        iterations,
-        format,
-        quantized_elements,
-        vector_files,
+        arch: Architecture::new(window, depth, cores),
+        iterations: r.u32()?,
+        format: get_format(r)?,
+        quantized_elements: r.usize()?,
+        vector_files: Vec::new(),
         vector_records: r.usize()?,
         vector_words: r.usize()?,
         max_fixed_error: r.f64()?,
@@ -410,7 +490,7 @@ fn decode_search(bytes: &[u8]) -> Result<FormatSearchOutcome, DecodeError> {
             within_budget: r.bool()?,
         });
     }
-    let certificate = std::sync::Arc::new(decode_certificate_fields(&mut r)?);
+    let certificate = Arc::new(decode_certificate_fields(&mut r)?);
     r.expect_end()?;
     Ok(FormatSearchOutcome {
         budget,
@@ -552,12 +632,16 @@ impl DiskTier {
             .insert(KIND_VECTORS, run_key(key), encode_vectors(value));
     }
 
+    /// A certificate with the golden vectors of its run key; a missing or
+    /// undecodable vector record makes it a cold miss.
     pub(crate) fn fetch_certificate(
         &self,
         key: &RunKey,
         cores: u32,
     ) -> Option<ArchitectureCertificate> {
-        self.fetch(KIND_CERTIFICATE, &cert_key(key, cores), decode_certificate)
+        let mut cert = self.fetch(KIND_CERTIFICATE, &cert_key(key, cores), decode_certificate)?;
+        cert.vector_files = self.fetch_vectors(key)?;
+        Some(cert)
     }
 
     pub(crate) fn put_certificate(
@@ -579,8 +663,17 @@ impl DiskTier {
             .insert(KIND_REFERENCES, ref_key(key), encode_references(value));
     }
 
+    /// A search outcome whose certificate carries the golden vectors of the
+    /// run at the chosen format; a missing or undecodable vector record
+    /// makes it a cold miss.
     pub(crate) fn fetch_search(&self, key: &SearchKey) -> Option<FormatSearchOutcome> {
-        self.fetch(KIND_SEARCH, &search_key(key), decode_search)
+        let mut outcome = self.fetch(KIND_SEARCH, &search_key(key), decode_search)?;
+        let chosen = RunKey {
+            format: outcome.chosen,
+            ..key.run.clone()
+        };
+        Arc::make_mut(&mut outcome.certificate).vector_files = self.fetch_vectors(&chosen)?;
+        Some(outcome)
     }
 
     pub(crate) fn put_search(&self, key: &SearchKey, value: &FormatSearchOutcome) {
@@ -667,6 +760,115 @@ mod tests {
         assert_eq!(b.fingerprint(), fs.fingerprint());
     }
 
+    fn sample_vectors() -> Vec<VectorFile> {
+        vec![
+            VectorFile {
+                entity: "avg_w2x1_d1".into(),
+                format: FixedFormat::new(64, 40),
+                window: Window::line(2),
+                depth: 1,
+                ports_in: vec!["in_f0_xm1_y0".into(), "in_f0_x0_y0".into()],
+                ports_out: vec!["out_f0_x0_y0".into()],
+                records: vec![
+                    VectorRecord {
+                        level: 0,
+                        tile: (0, 0),
+                        stimulus: vec![i64::MIN, i64::MAX],
+                        response: vec![-1],
+                    },
+                    VectorRecord {
+                        level: 3,
+                        tile: (-2, 70_000),
+                        stimulus: vec![-1024, 0],
+                        response: vec![i64::MIN + 1],
+                    },
+                ],
+            },
+            // A constant-only cone: no data ports at all.
+            VectorFile {
+                entity: "const_w1x1_d2".into(),
+                format: FixedFormat::default(),
+                window: Window::line(1),
+                depth: 2,
+                ports_in: vec![],
+                ports_out: vec![],
+                records: vec![VectorRecord {
+                    level: 1,
+                    tile: (5, -6),
+                    stimulus: vec![],
+                    response: vec![],
+                }],
+            },
+            VectorFile {
+                entity: "box_w2x2x3_d1".into(),
+                format: FixedFormat::new(8, 3),
+                window: Window { w: 2, h: 2, d: 3 },
+                depth: 1,
+                ports_in: vec!["in".into()],
+                ports_out: vec!["out_a".into(), "out_b".into()],
+                records: vec![],
+            },
+        ]
+    }
+
+    fn sample_certificate() -> ArchitectureCertificate {
+        ArchitectureCertificate {
+            arch: Architecture::new(Window::square(4), 2, 2),
+            iterations: 5,
+            format: FixedFormat::new(14, 9),
+            quantized_elements: 432,
+            vector_files: Vec::new(),
+            vector_records: 40,
+            vector_words: 1000,
+            max_fixed_error: 0.25,
+            rms_fixed_error: 1e-3,
+            max_quant_error: -0.0,
+            rms_quant_error: f64::MIN_POSITIVE,
+        }
+    }
+
+    fn sample_search() -> FormatSearchOutcome {
+        FormatSearchOutcome {
+            budget: ErrorBudget::max_abs(1e-3),
+            chosen: FixedFormat::new(14, 9),
+            default_format: FixedFormat::default(),
+            default_area_luts: 1200,
+            chosen_area_luts: 900,
+            probes: vec![FormatProbe {
+                format: FixedFormat::new(14, 9),
+                max_abs_error: 5e-4,
+                rms_error: 1e-5,
+                within_budget: true,
+            }],
+            certificate: Arc::new(sample_certificate()),
+        }
+    }
+
+    #[test]
+    fn vector_codec_round_trips_exactly() {
+        let files = sample_vectors();
+        assert_eq!(decode_vectors(&encode_vectors(&files)).unwrap(), files);
+        for one in &files {
+            let single = std::slice::from_ref(one);
+            assert_eq!(decode_vectors(&encode_vectors(single)).unwrap(), single);
+        }
+        assert_eq!(decode_vectors(&encode_vectors(&[])).unwrap(), []);
+    }
+
+    #[test]
+    fn certificate_and_search_records_carry_no_vectors() {
+        let bare = sample_certificate();
+        let with_vectors = ArchitectureCertificate {
+            vector_files: sample_vectors(),
+            ..bare.clone()
+        };
+        let bytes = encode_certificate(&with_vectors);
+        assert_eq!(bytes, encode_certificate(&bare));
+        assert_eq!(decode_certificate(&bytes).unwrap(), bare);
+        let search = sample_search();
+        assert_eq!(decode_search(&encode_search(&search)).unwrap(), search);
+    }
+
     #[test]
     fn truncated_payloads_fail_soft() {
         let f = Frame::from_fn(4, 4, |x, y| (x * y) as f64);
@@ -676,5 +878,102 @@ mod tests {
             assert!(decode_references(&bytes[..cut]).is_err());
         }
         assert!(decode_calibration(&bytes).is_err());
+
+        // Every proper prefix of a vector, certificate or search payload.
+        let vectors = encode_vectors(&sample_vectors());
+        let cert = encode_certificate(&sample_certificate());
+        let search = encode_search(&sample_search());
+        for cut in 0..vectors.len() {
+            assert!(decode_vectors(&vectors[..cut]).is_err(), "vectors cut at {cut}");
+        }
+        for cut in 0..cert.len() {
+            assert!(decode_certificate(&cert[..cut]).is_err(), "certificate cut at {cut}");
+        }
+        for cut in 0..search.len() {
+            assert!(decode_search(&search[..cut]).is_err(), "search cut at {cut}");
+        }
+
+        // Hostile counts fail soft without reserving for them: a file
+        // count, and the record count that ends a file without records.
+        let mut hostile = vectors.clone();
+        hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_vectors(&hostile).is_err());
+        let last = sample_vectors().pop().unwrap();
+        let mut hostile = encode_vectors(&[last]);
+        let at = hostile.len() - 4;
+        hostile[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_vectors(&hostile).is_err());
+    }
+
+    /// Certify and format-search one IGF decomposition on `session`.
+    fn certify_and_search(
+        session: &crate::IslSession,
+        init: &FrameSet,
+    ) -> (ArchitectureCertificate, FormatSearchOutcome) {
+        let arch = Architecture::new(Window::square(2), 1, 1);
+        let device = isl_fpga::Device::virtex6_xc6vlx760();
+        let cert = session.certify(init, arch).unwrap();
+        let search = session
+            .search_format(&device, init, arch, ErrorBudget::max_abs(1e-3))
+            .unwrap();
+        ((**cert.certificate()).clone(), (**search.outcome()).clone())
+    }
+
+    /// A certificate or search record whose vector record is missing, or
+    /// was discarded as corrupt, is a counted cold rebuild that equals the
+    /// cold run, and the rebuild writes the vector records back.
+    #[test]
+    fn missing_or_corrupt_vector_records_rebuild_cold() {
+        let algo = isl_algorithms::gaussian_igf();
+        let init = FrameSet::from_frames(vec![isl_sim::synthetic::noise(16, 12, 7)]).unwrap();
+        let cold = certify_and_search(&crate::IslSession::from_algorithm(&algo).unwrap(), &init);
+        assert_ne!(cold.1.chosen, FixedFormat::default(), "the search narrows the format");
+        let dir = std::env::temp_dir().join(format!("isl-hls-vector-records-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for corrupt in [false, true] {
+            let path = dir.join(format!("corrupt-{corrupt}.islstore"));
+            let _ = std::fs::remove_file(&path);
+            let open = || {
+                crate::IslSession::from_algorithm(&algo)
+                    .unwrap()
+                    .with_persistent_store(&path)
+                    .unwrap()
+            };
+            let writer = open();
+            certify_and_search(&writer, &init);
+            writer.checkpoint().unwrap();
+            drop(writer);
+
+            // Drop or garble both vector records (default and chosen
+            // format) behind the tier's back.
+            let store = DiskStore::open(&path, ARTIFACT_CODEC_VERSION).unwrap();
+            let records = store.entries_of_kind(KIND_VECTORS);
+            assert_eq!(records.len(), 2);
+            for (key, _) in records {
+                if corrupt {
+                    store.insert(KIND_VECTORS, key, b"not a vector set".to_vec());
+                } else {
+                    store.discard_corrupt(KIND_VECTORS, &key);
+                }
+            }
+            store.flush().unwrap();
+            drop(store);
+
+            let reader = open();
+            assert_eq!(certify_and_search(&reader, &init), cold, "corrupt {corrupt}");
+            let stats = reader.store_stats();
+            assert_eq!(stats.certificates.misses, 2, "both certificates rebuild");
+            assert_eq!(stats.vectors.misses, 2, "both vector sets re-record");
+            assert_eq!(stats.searches.misses, 1, "the search reruns");
+            assert_eq!(stats.load_skipped_corrupt, if corrupt { 2 } else { 0 });
+            reader.checkpoint().unwrap();
+            drop(reader);
+
+            let again = open();
+            assert_eq!(certify_and_search(&again, &init), cold);
+            let stats = again.store_stats();
+            assert_eq!(stats.quantized_build_misses() + stats.searches.misses, 0, "{stats}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

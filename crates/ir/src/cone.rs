@@ -317,7 +317,7 @@ struct ConeBuilder<'p> {
     memo: HashMap<(FieldId, Point, u32), NodeId>,
 }
 
-impl ConeBuilder<'_> {
+impl<'p> ConeBuilder<'p> {
     /// The graph node computing `field` at `point` of relative level `level`
     /// (level 0 = cone base input).
     fn element(&mut self, field: FieldId, point: Point, level: u32) -> NodeId {
@@ -327,12 +327,13 @@ impl ConeBuilder<'_> {
         let id = if level == 0 {
             self.graph.input(field, point)
         } else {
-            let expr = self
-                .pattern
+            // The pattern outlives the builder, so the update is borrowed
+            // from it rather than cloned per instantiated element.
+            let pattern: &'p StencilPattern = self.pattern;
+            let expr = pattern
                 .update(field)
-                .expect("validated pattern has updates for all dynamic fields")
-                .clone();
-            self.instantiate(&expr, point, level)
+                .expect("validated pattern has updates for all dynamic fields");
+            self.instantiate(expr, point, level)
         };
         self.memo.insert((field, point, level), id);
         id

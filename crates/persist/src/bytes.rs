@@ -97,6 +97,18 @@ impl ByteWriter {
         self.put_bytes(v.as_bytes());
     }
 
+    /// Append an `i64` as a zigzag LEB128 varint: seven bits per byte,
+    /// low groups first, so small magnitudes of either sign are short
+    /// (one byte for `-64..=63`, ten for `i64::MIN` and `i64::MAX`).
+    pub fn put_varint(&mut self, v: i64) {
+        let mut z = ((v << 1) ^ (v >> 63)) as u64;
+        while z >= 0x80 {
+            self.buf.push(z as u8 | 0x80);
+            z >>= 7;
+        }
+        self.buf.push(z as u8);
+    }
+
     /// Append raw bytes with **no** length prefix (the caller frames them).
     pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
@@ -189,10 +201,27 @@ impl<'a> ByteReader<'a> {
         self.take(n, "bytes")
     }
 
+    /// Read a varint written by [`ByteWriter::put_varint`]. A truncated
+    /// varint, or one that carries more than 64 bits, is a decode error
+    /// and consumes nothing.
+    pub fn varint(&mut self) -> Result<i64, DecodeError> {
+        let mut z = 0u64;
+        for (i, &b) in self.buf[self.pos..].iter().take(10).enumerate() {
+            if i == 9 && b > 1 {
+                return Err(DecodeError("varint overflows 64 bits".into()));
+            }
+            z |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                self.pos += i + 1;
+                return Ok((z >> 1) as i64 ^ -((z & 1) as i64));
+            }
+        }
+        Err(DecodeError("truncated varint".into()))
+    }
+
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<&'a str, DecodeError> {
-        std::str::from_utf8(self.bytes()?)
-            .map_err(|e| DecodeError(format!("invalid utf-8: {e}")))
+        std::str::from_utf8(self.bytes()?).map_err(|e| DecodeError(format!("invalid utf-8: {e}")))
     }
 
     /// Assert the reader consumed everything — trailing bytes mean the
@@ -250,6 +279,52 @@ mod tests {
         // A failed read consumes nothing.
         assert_eq!(r.remaining(), 3);
         assert_eq!(r.u8().unwrap(), 1);
+    }
+
+    #[test]
+    fn varints_round_trip_and_fail_soft() {
+        let values = [
+            0,
+            1,
+            -1,
+            63,
+            -64,
+            64,
+            -65,
+            1 << 40,
+            -(1 << 40),
+            i64::MAX,
+            i64::MIN,
+        ];
+        let mut w = ByteWriter::new();
+        for v in values {
+            w.put_varint(v);
+        }
+        let bytes = w.into_inner();
+        // -64..=63 take one byte; the extremes take ten.
+        assert_eq!(bytes[..5], [0, 2, 1, 126, 127]);
+        let mut r = ByteReader::new(&bytes);
+        for v in values {
+            assert_eq!(r.varint().unwrap(), v);
+        }
+        r.expect_end().unwrap();
+
+        let mut w = ByteWriter::new();
+        w.put_varint(i64::MIN);
+        let ten = w.into_inner();
+        assert_eq!(ten.len(), 10);
+        // Truncated: every proper prefix fails and consumes nothing.
+        for cut in 0..ten.len() {
+            let mut r = ByteReader::new(&ten[..cut]);
+            assert!(r.varint().is_err());
+            assert_eq!(r.remaining(), cut);
+        }
+        // More than 64 bits: a tenth byte above 1, or an eleventh byte.
+        let mut wide = ten.clone();
+        wide[9] = 2;
+        assert!(ByteReader::new(&wide).varint().is_err());
+        let long = [0x80u8; 11];
+        assert!(ByteReader::new(&long).varint().is_err());
     }
 
     #[test]

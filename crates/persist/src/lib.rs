@@ -55,13 +55,21 @@
 //!
 //! # Publication and eviction
 //!
-//! [`DiskStore::flush`] writes the whole store to a sibling temp file and
-//! atomically `rename`s it into place — readers observe the old file or
-//! the new one, never a torn write. Within one version, an optional LRU
-//! byte budget ([`DiskStore::with_byte_budget`]) evicts the
-//! least-recently-stamped records at flush time until the encoded file
-//! fits; stamps advance on insertion and on every [`DiskStore::lookup`]
-//! hit.
+//! A [`DiskStore`] holds each record once, as the frame it has on disk:
+//! magic, body length, body and checksum. A record is framed and
+//! checksummed once — when it is inserted or loaded (a loaded record keeps
+//! the frame it was read in) — and again only when a
+//! [`DiskStore::lookup`] hit refreshes its LRU stamp, which lives in the
+//! body. [`DiskStore::flush`] therefore encodes nothing: it streams the
+//! header and the held frames, in `(kind, key)` order, through a buffered
+//! writer into a sibling temp file and atomically `rename`s it into place.
+//! Readers observe the old file or the new one, never a torn write, and
+//! the published file is byte for byte what [`save_bytes`] writes for the
+//! same records. Within one version, an optional LRU byte budget
+//! ([`DiskStore::with_byte_budget`]) evicts the least-recently-stamped
+//! records at flush time until the file fits (the rule [`evict_lru`]
+//! applies to a record list); stamps advance on insertion and on every
+//! lookup hit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,8 +5,9 @@
 //! mechanics: checksummed framing, resynchronising corrupt-tolerant
 //! decode, atomic publication and the LRU byte budget.
 
-use std::collections::HashMap;
-use std::io;
+use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -26,6 +27,15 @@ pub const REC_MAGIC: [u8; 4] = *b"\xC0\xDE\x0D\x0A";
 pub const RECORD_OVERHEAD: usize = 4 + 4 + 8;
 
 const MAX_BODY: usize = 1 << 30;
+
+/// Bytes of the file header: magic, format version, app version.
+const HEADER_LEN: usize = 16;
+
+/// Bytes of the body before the key: kind, stamp, key length.
+const BODY_HEAD: usize = 1 + 8 + 4;
+
+/// Offset of the body inside a frame (after magic and body length).
+const BODY_AT: usize = 8;
 
 /// FNV-1a over `bytes` — the per-record checksum. Stable, dependency-free
 /// and byte-order-independent; corruption detection, not cryptography.
@@ -55,7 +65,7 @@ pub struct RawRecord {
 impl RawRecord {
     /// Bytes this record occupies on disk, framing included.
     pub fn disk_size(&self) -> usize {
-        RECORD_OVERHEAD + 1 + 8 + 4 + self.key.len() + self.value.len()
+        RECORD_OVERHEAD + BODY_HEAD + self.key.len() + self.value.len()
     }
 }
 
@@ -73,26 +83,40 @@ pub struct LoadReport {
     pub bytes_on_disk: u64,
 }
 
+fn header(app_version: u64) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..4].copy_from_slice(&FILE_MAGIC);
+    h[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    h[8..].copy_from_slice(&app_version.to_le_bytes());
+    h
+}
+
+/// Append one record to `out` as it lies on disk: magic, body length, body
+/// and the FNV-1a checksum of the body. The one framing function of the
+/// crate — [`save_bytes`] and [`DiskStore`] both frame through it.
+fn frame_into(out: &mut Vec<u8>, kind: u8, stamp: u64, key: &[u8], value: &[u8]) {
+    let body_len = BODY_HEAD + key.len() + value.len();
+    out.reserve(RECORD_OVERHEAD + body_len);
+    out.extend_from_slice(&REC_MAGIC);
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+    let body_at = out.len();
+    out.push(kind);
+    out.extend_from_slice(&stamp.to_le_bytes());
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(value);
+    let sum = fnv1a(&out[body_at..]);
+    out.extend_from_slice(&sum.to_le_bytes());
+}
+
 /// Encode a whole store file: header then every record, framed and
 /// checksummed. The inverse of [`load_bytes`].
 pub fn save_bytes(app_version: u64, records: &[RawRecord]) -> Vec<u8> {
     let total: usize = records.iter().map(RawRecord::disk_size).sum();
-    let mut out = Vec::with_capacity(16 + total);
-    out.extend_from_slice(&FILE_MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&app_version.to_le_bytes());
+    let mut out = Vec::with_capacity(HEADER_LEN + total);
+    out.extend_from_slice(&header(app_version));
     for rec in records {
-        let mut body = Vec::with_capacity(1 + 8 + 4 + rec.key.len() + rec.value.len());
-        body.push(rec.kind);
-        body.extend_from_slice(&rec.stamp.to_le_bytes());
-        body.extend_from_slice(&(rec.key.len() as u32).to_le_bytes());
-        body.extend_from_slice(&rec.key);
-        body.extend_from_slice(&rec.value);
-        out.extend_from_slice(&REC_MAGIC);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        let sum = fnv1a(&body);
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&sum.to_le_bytes());
+        frame_into(&mut out, rec.kind, rec.stamp, &rec.key, &rec.value);
     }
     out
 }
@@ -104,43 +128,53 @@ fn read_u32(bytes: &[u8], at: usize) -> Option<u32> {
 }
 
 fn read_u64(bytes: &[u8], at: usize) -> Option<u64> {
-    bytes.get(at..at + 8).map(|b| {
-        u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-    })
+    bytes
+        .get(at..at + 8)
+        .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
 }
 
 /// Scan forward from `from` for the next [`REC_MAGIC`], the resync point
 /// after a corrupt record.
 fn next_magic(bytes: &[u8], from: usize) -> Option<usize> {
-    (from..bytes.len().saturating_sub(REC_MAGIC.len() - 1))
-        .find(|&i| bytes[i..i + 4] == REC_MAGIC)
+    (from..bytes.len().saturating_sub(REC_MAGIC.len() - 1)).find(|&i| bytes[i..i + 4] == REC_MAGIC)
 }
 
-/// Decode a store file image. **Never panics on hostile bytes** — the
-/// persist fuzz mode bit-flips real files through here. Corrupt records
-/// are skipped and counted; a header whose magic or version does not match
-/// `app_version` yields an empty, `invalidated` report (the wholesale
-/// invalidation contract).
-pub fn load_bytes(bytes: &[u8], app_version: u64) -> LoadReport {
-    let mut report = LoadReport {
-        bytes_on_disk: bytes.len() as u64,
-        ..LoadReport::default()
-    };
-    if bytes.len() < 16
+/// One record that passed its framing and checksum checks, borrowed from
+/// the scanned image.
+struct Scanned<'a> {
+    kind: u8,
+    stamp: u64,
+    key: &'a [u8],
+    value: &'a [u8],
+    /// The whole record as it lies in the image, magic to checksum.
+    frame: &'a [u8],
+}
+
+/// Walk a store file image, handing every intact record to `visit` in file
+/// order (duplicates included; the caller resolves them last-wins).
+/// Returns `(corrupt records skipped, invalidated)`. **Never panics on
+/// hostile bytes** — the persist fuzz mode bit-flips real files through
+/// here. A header whose magic or version does not match `app_version`
+/// visits nothing and reports the file invalidated.
+fn scan<'a>(
+    bytes: &'a [u8],
+    app_version: u64,
+    mut visit: impl FnMut(Scanned<'a>),
+) -> (usize, bool) {
+    if bytes.len() < HEADER_LEN
         || bytes[..4] != FILE_MAGIC
         || read_u32(bytes, 4) != Some(FORMAT_VERSION)
         || read_u64(bytes, 8) != Some(app_version)
     {
-        report.invalidated = true;
-        return report;
+        return (0, true);
     }
-    let mut by_key: HashMap<(u8, Vec<u8>), usize> = HashMap::new();
-    let mut pos = 16usize;
+    let mut skipped = 0;
+    let mut pos = HEADER_LEN;
     while pos < bytes.len() {
         if bytes.len() - pos < RECORD_OVERHEAD || bytes[pos..pos + 4] != REC_MAGIC {
             // Not a record start: corruption (or trailing garbage). Count
             // one skip for the whole run and resync at the next marker.
-            report.skipped_corrupt += 1;
+            skipped += 1;
             match next_magic(bytes, pos + 1) {
                 Some(next) => {
                     pos = next;
@@ -150,75 +184,110 @@ pub fn load_bytes(bytes: &[u8], app_version: u64) -> LoadReport {
             }
         }
         let body_len = read_u32(bytes, pos + 4).unwrap_or(u32::MAX) as usize;
-        let body_at = pos + 8;
+        let body_at = pos + BODY_AT;
         let ok = body_len <= MAX_BODY
             && body_at + body_len + 8 <= bytes.len()
             && read_u64(bytes, body_at + body_len)
                 == Some(fnv1a(&bytes[body_at..body_at + body_len]));
         if !ok {
-            report.skipped_corrupt += 1;
+            skipped += 1;
             match next_magic(bytes, pos + 1) {
                 Some(next) => pos = next,
                 None => break,
             }
             continue;
         }
+        let frame = &bytes[pos..body_at + body_len + 8];
         let body = &bytes[body_at..body_at + body_len];
         pos = body_at + body_len + 8;
         // Body layout: kind u8, stamp u64, key_len u32, key, value. The
         // checksum passed, so an inconsistent key_len still means a codec
         // mismatch — treat it as corruption, not a panic.
-        if body.len() < 13 {
-            report.skipped_corrupt += 1;
+        if body.len() < BODY_HEAD {
+            skipped += 1;
             continue;
         }
-        let kind = body[0];
-        let stamp = read_u64(body, 1).expect("13-byte minimum checked");
-        let key_len = read_u32(body, 9).expect("13-byte minimum checked") as usize;
-        if 13 + key_len > body.len() {
-            report.skipped_corrupt += 1;
+        let stamp = read_u64(body, 1).expect("body head checked");
+        let key_len = read_u32(body, 9).expect("body head checked") as usize;
+        if BODY_HEAD + key_len > body.len() {
+            skipped += 1;
             continue;
         }
-        let key = body[13..13 + key_len].to_vec();
-        let value = body[13 + key_len..].to_vec();
-        let rec = RawRecord { kind, stamp, key: key.clone(), value };
-        match by_key.entry((kind, key)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                report.records[*e.get()] = rec;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(report.records.len());
-                report.records.push(rec);
-            }
-        }
+        visit(Scanned {
+            kind: body[0],
+            stamp,
+            key: &body[BODY_HEAD..BODY_HEAD + key_len],
+            value: &body[BODY_HEAD + key_len..],
+            frame,
+        });
     }
-    report
+    (skipped, false)
 }
 
-/// Drop least-recently-stamped records until the encoded file fits
-/// `byte_budget` (header included). Returns how many records were evicted.
-/// A budget smaller than the header alone evicts everything.
-pub fn evict_lru(records: &mut Vec<RawRecord>, byte_budget: u64) -> usize {
-    let mut total: u64 = 16 + records.iter().map(|r| r.disk_size() as u64).sum::<u64>();
-    if total <= byte_budget {
-        return 0;
+/// Decode a store file image. **Never panics on hostile input** — the
+/// persist fuzz mode bit-flips real files through here. Corrupt records
+/// are skipped and counted; a header whose magic or version does not match
+/// `app_version` yields an empty, `invalidated` report (the wholesale
+/// invalidation contract).
+pub fn load_bytes(bytes: &[u8], app_version: u64) -> LoadReport {
+    let mut records: Vec<RawRecord> = Vec::new();
+    let mut by_key: HashMap<(u8, &[u8]), usize> = HashMap::new();
+    let (skipped_corrupt, invalidated) = scan(bytes, app_version, |rec| {
+        let raw = RawRecord {
+            kind: rec.kind,
+            stamp: rec.stamp,
+            key: rec.key.to_vec(),
+            value: rec.value.to_vec(),
+        };
+        match by_key.entry((rec.kind, rec.key)) {
+            std::collections::hash_map::Entry::Occupied(e) => records[*e.get()] = raw,
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(records.len());
+                records.push(raw);
+            }
+        }
+    });
+    LoadReport {
+        records,
+        skipped_corrupt,
+        invalidated,
+        bytes_on_disk: bytes.len() as u64,
     }
-    let mut order: Vec<usize> = (0..records.len()).collect();
-    order.sort_by_key(|&i| records[i].stamp);
-    let mut drop_idx = Vec::new();
+}
+
+/// The LRU rule of the byte budget: given every record's `(stamp, disk
+/// size)` in file order, mark the least-recently-stamped records (ties
+/// broken by file order) for eviction until the encoded file, header
+/// included, fits `byte_budget`. Shared by [`evict_lru`] and
+/// [`DiskStore::flush`], so both evict the same records.
+fn lru_victims(entries: &[(u64, usize)], byte_budget: u64) -> Vec<bool> {
+    let mut total = HEADER_LEN as u64 + entries.iter().map(|&(_, size)| size as u64).sum::<u64>();
+    let mut victims = vec![false; entries.len()];
+    if total <= byte_budget {
+        return victims;
+    }
+    let mut order: Vec<usize> = (0..entries.len()).collect();
+    order.sort_by_key(|&i| entries[i].0);
     for i in order {
         if total <= byte_budget {
             break;
         }
-        total -= records[i].disk_size() as u64;
-        drop_idx.push(i);
+        total -= entries[i].1 as u64;
+        victims[i] = true;
     }
-    let evicted = drop_idx.len();
-    drop_idx.sort_unstable_by(|a, b| b.cmp(a));
-    for i in drop_idx {
-        records.swap_remove(i);
-    }
-    evicted
+    victims
+}
+
+/// Drop least-recently-stamped records until the encoded file fits
+/// `byte_budget` (header included), keeping the survivors in their order.
+/// Returns how many records were evicted. A budget smaller than the header
+/// alone evicts everything.
+pub fn evict_lru(records: &mut Vec<RawRecord>, byte_budget: u64) -> usize {
+    let entries: Vec<(u64, usize)> = records.iter().map(|r| (r.stamp, r.disk_size())).collect();
+    let mut victims = lru_victims(&entries, byte_budget).into_iter();
+    let before = records.len();
+    records.retain(|_| !victims.next().expect("one verdict per record"));
+    before - records.len()
 }
 
 /// Counters of one [`DiskStore`] — the disk tier's side of the pipeline's
@@ -256,9 +325,31 @@ pub struct FlushReport {
     pub wrote: bool,
 }
 
+/// The access stamp inside a held frame.
+fn frame_stamp(frame: &[u8]) -> u64 {
+    read_u64(frame, BODY_AT + 1).expect("held frames are well formed")
+}
+
+/// The value bytes inside a held frame.
+fn frame_value(frame: &[u8]) -> &[u8] {
+    let key_len = read_u32(frame, BODY_AT + 9).expect("held frames are well formed") as usize;
+    &frame[BODY_AT + BODY_HEAD + key_len..frame.len() - 8]
+}
+
+/// Give a held frame a new access stamp: rewrite the stamp and the
+/// checksum in place, leaving the frame what [`frame_into`] would write.
+fn restamp(frame: &mut [u8], stamp: u64) {
+    let end = frame.len() - 8;
+    frame[BODY_AT + 1..BODY_AT + 9].copy_from_slice(&stamp.to_le_bytes());
+    let sum = fnv1a(&frame[BODY_AT..end]);
+    frame[end..].copy_from_slice(&sum.to_le_bytes());
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<(u8, Vec<u8>), (u64, Vec<u8>)>,
+    /// Every record once, as its on-disk frame, in `(kind, key)` order —
+    /// the order a flush writes them in.
+    frames: BTreeMap<(u8, Vec<u8>), Vec<u8>>,
     clock: u64,
     dirty: bool,
     evicted: u64,
@@ -297,20 +388,28 @@ impl DiskStore {
     /// [`io::Error`] when the file exists but cannot be read.
     pub fn open(path: impl AsRef<Path>, app_version: u64) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let report = match std::fs::read(&path) {
-            Ok(bytes) => load_bytes(&bytes, app_version),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => LoadReport::default(),
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => Some(bytes),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Err(e) => return Err(e),
         };
         let mut inner = Inner::default();
-        for rec in &report.records {
-            inner.clock = inner.clock.max(rec.stamp + 1);
-        }
-        for rec in report.records {
-            inner
-                .map
-                .insert((rec.kind, rec.key), (rec.stamp, rec.value));
-        }
+        // A loaded record keeps the frame it was read in: it passed its
+        // checksum, so it is already what `frame_into` would write.
+        let (skipped, invalidated) = match &bytes {
+            Some(bytes) => scan(bytes, app_version, |rec| {
+                inner
+                    .frames
+                    .insert((rec.kind, rec.key.to_vec()), rec.frame.to_vec());
+            }),
+            None => (0, false),
+        };
+        inner.clock = inner
+            .frames
+            .values()
+            .map(|frame| frame_stamp(frame).saturating_add(1))
+            .max()
+            .unwrap_or(0);
         Ok(DiskStore {
             path,
             app_version,
@@ -318,9 +417,9 @@ impl DiskStore {
             inner: Mutex::new(inner),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            skipped: AtomicU64::new(report.skipped_corrupt as u64),
-            bytes_on_disk: AtomicU64::new(report.bytes_on_disk),
-            invalidated: report.invalidated,
+            skipped: AtomicU64::new(skipped as u64),
+            bytes_on_disk: AtomicU64::new(bytes.map_or(0, |b| b.len() as u64)),
+            invalidated,
         })
     }
 
@@ -344,21 +443,15 @@ impl DiskStore {
     /// Look `(kind, key)` up, refreshing its LRU stamp on a hit. Counts a
     /// hit or a miss either way.
     pub fn lookup(&self, kind: u8, key: &[u8]) -> Option<Vec<u8>> {
-        let mut inner = self.inner.lock().expect("disk store");
-        let clock = inner.clock;
-        let found = match inner.map.get_mut(&(kind, key.to_vec())) {
-            Some((stamp, value)) => {
-                *stamp = clock;
-                Some(value.clone())
-            }
-            None => None,
-        };
-        match found {
-            Some(value) => {
+        let mut guard = self.inner.lock().expect("disk store");
+        let inner = &mut *guard;
+        match inner.frames.get_mut(&(kind, key.to_vec())) {
+            Some(frame) => {
+                restamp(frame, inner.clock);
                 inner.clock += 1;
                 inner.dirty = true;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
+                Some(frame_value(frame).to_vec())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -371,9 +464,10 @@ impl DiskStore {
     /// previous binding) and mark the store dirty.
     pub fn insert(&self, kind: u8, key: Vec<u8>, value: Vec<u8>) {
         let mut inner = self.inner.lock().expect("disk store");
-        let stamp = inner.clock;
+        let mut frame = Vec::new();
+        frame_into(&mut frame, kind, inner.clock, &key, &value);
         inner.clock += 1;
-        inner.map.insert((kind, key), (stamp, value));
+        inner.frames.insert((kind, key), frame);
         inner.dirty = true;
     }
 
@@ -382,7 +476,7 @@ impl DiskStore {
     /// are not republished at the next flush.
     pub fn discard_corrupt(&self, kind: u8, key: &[u8]) {
         let mut inner = self.inner.lock().expect("disk store");
-        if inner.map.remove(&(kind, key.to_vec())).is_some() {
+        if inner.frames.remove(&(kind, key.to_vec())).is_some() {
             inner.dirty = true;
         }
         self.skipped.fetch_add(1, Ordering::Relaxed);
@@ -394,7 +488,7 @@ impl DiskStore {
         self.inner
             .lock()
             .expect("disk store")
-            .map
+            .frames
             .contains_key(&(kind, key.to_vec()))
     }
 
@@ -403,20 +497,17 @@ impl DiskStore {
     /// (loaded records are neither hits nor misses until requested).
     pub fn entries_of_kind(&self, kind: u8) -> Vec<(Vec<u8>, Vec<u8>)> {
         let inner = self.inner.lock().expect("disk store");
-        let mut out: Vec<_> = inner
-            .map
+        inner
+            .frames
             .iter()
             .filter(|((k, _), _)| *k == kind)
-            .map(|((_, key), (_, value))| (key.clone(), value.clone()))
-            .collect();
-        drop(inner);
-        out.sort();
-        out
+            .map(|((_, key), frame)| (key.clone(), frame_value(frame).to_vec()))
+            .collect()
     }
 
     /// Records currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("disk store").map.len()
+        self.inner.lock().expect("disk store").frames.len()
     }
 
     /// Whether the store holds no records.
@@ -429,65 +520,58 @@ impl DiskStore {
         self.inner.lock().expect("disk store").dirty
     }
 
-    /// Publish the current state atomically: encode every record, apply
-    /// the LRU byte budget, write to a sibling temp file and `rename` it
-    /// over `path`. A clean store writes nothing. Readers never observe a
-    /// partial file — they see the old store or the new one.
+    /// Publish the current state atomically: apply the LRU byte budget,
+    /// stream the header and every held frame, in `(kind, key)` order,
+    /// into a sibling temp file and `rename` it over `path`. The file is
+    /// exactly what [`save_bytes`] writes for the held records. A clean
+    /// store writes nothing. Readers never observe a partial file — they
+    /// see the old store or the new one.
     ///
     /// # Errors
     ///
-    /// [`io::Error`] from the temp write, sync or rename; the previous
-    /// file is untouched on failure.
+    /// [`io::Error`] from the temp write or the rename; the previous file
+    /// is untouched on failure.
     pub fn flush(&self) -> io::Result<FlushReport> {
         let mut inner = self.inner.lock().expect("disk store");
         if !inner.dirty {
             return Ok(FlushReport::default());
         }
-        let mut records: Vec<RawRecord> = inner
-            .map
-            .iter()
-            .map(|((kind, key), (stamp, value))| RawRecord {
-                kind: *kind,
-                stamp: *stamp,
-                key: key.clone(),
-                value: value.clone(),
-            })
-            .collect();
-        // Deterministic record order (by kind, then key) so identical
-        // stores produce identical files.
-        records.sort_by(|a, b| (a.kind, &a.key).cmp(&(b.kind, &b.key)));
         let evicted = match self.byte_budget {
-            Some(budget) => evict_lru(&mut records, budget),
+            Some(budget) => {
+                let entries: Vec<(u64, usize)> = inner
+                    .frames
+                    .values()
+                    .map(|frame| (frame_stamp(frame), frame.len()))
+                    .collect();
+                let mut victims = lru_victims(&entries, budget).into_iter();
+                let before = inner.frames.len();
+                inner
+                    .frames
+                    .retain(|_, _| !victims.next().expect("one verdict per record"));
+                before - inner.frames.len()
+            }
             None => 0,
         };
-        if evicted > 0 {
-            let keep: std::collections::HashSet<(u8, &[u8])> = records
-                .iter()
-                .map(|r| (r.kind, r.key.as_slice()))
-                .collect();
-            inner
-                .map
-                .retain(|(kind, key), _| keep.contains(&(*kind, key.as_slice())));
-            inner.evicted += evicted as u64;
-        }
-        let bytes = save_bytes(self.app_version, &records);
-        let tmp = self.path.with_extension(format!("tmp.{}", std::process::id()));
+        inner.evicted += evicted as u64;
         if let Some(parent) = self.path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        std::fs::write(&tmp, &bytes)?;
-        let result = std::fs::rename(&tmp, &self.path);
-        if result.is_err() {
+        let tmp = self
+            .path
+            .with_extension(format!("tmp.{}", std::process::id()));
+        let published = write_file(&tmp, self.app_version, inner.frames.values())
+            .and_then(|bytes| std::fs::rename(&tmp, &self.path).map(|()| bytes));
+        if published.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
-        result?;
+        let bytes = published?;
         inner.dirty = false;
-        self.bytes_on_disk.store(bytes.len() as u64, Ordering::Relaxed);
+        self.bytes_on_disk.store(bytes, Ordering::Relaxed);
         Ok(FlushReport {
-            records: records.len(),
-            bytes: bytes.len() as u64,
+            records: inner.frames.len(),
+            bytes,
             evicted,
             wrote: true,
         })
@@ -501,11 +585,29 @@ impl DiskStore {
             misses: self.misses.load(Ordering::Relaxed),
             skipped_corrupt: self.skipped.load(Ordering::Relaxed),
             bytes_on_disk: self.bytes_on_disk.load(Ordering::Relaxed),
-            records: inner.map.len() as u64,
+            records: inner.frames.len() as u64,
             evicted: inner.evicted,
             invalidated: self.invalidated,
         }
     }
+}
+
+/// Stream a store file — header, then `frames` as they are — through a
+/// buffered writer into `path`. Returns the bytes written.
+fn write_file<'a>(
+    path: &Path,
+    app_version: u64,
+    frames: impl Iterator<Item = &'a Vec<u8>>,
+) -> io::Result<u64> {
+    let mut out = BufWriter::with_capacity(1 << 16, File::create(path)?);
+    out.write_all(&header(app_version))?;
+    let mut bytes = HEADER_LEN as u64;
+    for frame in frames {
+        out.write_all(frame)?;
+        bytes += frame.len() as u64;
+    }
+    out.flush()?;
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -622,7 +724,9 @@ mod tests {
         let one = records[0].disk_size() as u64;
         let evicted = evict_lru(&mut records, full - one);
         assert_eq!(evicted, 1);
-        assert!(records.iter().all(|r| r.key != b"oldest"));
+        // Survivors keep their order.
+        let keys: Vec<&[u8]> = records.iter().map(|r| r.key.as_slice()).collect();
+        assert_eq!(keys, [&b"newest"[..], &b"middle"[..]]);
         let evicted = evict_lru(&mut records, 0);
         assert_eq!(evicted, 2);
         assert!(records.is_empty());
@@ -657,6 +761,119 @@ mod tests {
         assert!(bumped.is_empty());
         assert!(bumped.stats().invalidated);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The records a store holds, in `(kind, key)` order, read back from
+    /// its frames.
+    fn held(store: &DiskStore) -> Vec<RawRecord> {
+        let inner = store.inner.lock().unwrap();
+        let mut image = header(store.app_version).to_vec();
+        for frame in inner.frames.values() {
+            image.extend_from_slice(frame);
+        }
+        let report = load_bytes(&image, store.app_version);
+        assert_eq!(report.skipped_corrupt, 0, "a held frame fails its checksum");
+        report.records
+    }
+
+    /// An independent model of the store's bookkeeping: every binding with
+    /// the stamp the documented rules give it.
+    #[derive(Default)]
+    struct Model {
+        records: BTreeMap<(u8, Vec<u8>), (u64, Vec<u8>)>,
+        clock: u64,
+    }
+
+    impl Model {
+        fn insert(&mut self, kind: u8, key: &[u8], value: &[u8]) {
+            self.records
+                .insert((kind, key.to_vec()), (self.clock, value.to_vec()));
+            self.clock += 1;
+        }
+
+        fn touch(&mut self, kind: u8, key: &[u8]) {
+            self.records.get_mut(&(kind, key.to_vec())).unwrap().0 = self.clock;
+            self.clock += 1;
+        }
+
+        fn raw(&self) -> Vec<RawRecord> {
+            self.records
+                .iter()
+                .map(|((kind, key), (stamp, value))| rec(*kind, *stamp, key, value))
+                .collect()
+        }
+
+        fn evict(&mut self, budget: u64) -> usize {
+            let mut raw = self.raw();
+            let evicted = evict_lru(&mut raw, budget);
+            self.records = raw
+                .into_iter()
+                .map(|r| ((r.kind, r.key), (r.stamp, r.value)))
+                .collect();
+            evicted
+        }
+    }
+
+    #[test]
+    fn flush_streams_exactly_what_save_bytes_writes() {
+        let dir = std::env::temp_dir().join(format!("isl-persist-flush-{}", std::process::id()));
+        let path = dir.join("store.islstore");
+        std::fs::create_dir_all(&dir).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let check = |store: &DiskStore, model: &Model| {
+            let file = std::fs::read(&path).unwrap();
+            assert_eq!(file, save_bytes(5, &model.raw()));
+            assert_eq!(held(store), model.raw());
+            // Reopening the published file holds the same records.
+            assert_eq!(held(&DiskStore::open(&path, 5).unwrap()), model.raw());
+        };
+
+        let store = DiskStore::open(&path, 5).unwrap();
+        let mut model = Model::default();
+        for (kind, key, value) in [
+            (2, &b"b"[..], &b"vb"[..]),
+            (1, b"z", b"vz"),
+            (1, b"a", b"va"),
+            (3, b"k", &[7u8; 100][..]),
+        ] {
+            store.insert(kind, key.to_vec(), value.to_vec());
+            model.insert(kind, key, value);
+        }
+        assert_eq!(store.flush().unwrap().records, 4);
+        check(&store, &model);
+
+        // A replacing insert.
+        store.insert(1, b"a".to_vec(), b"va2".to_vec());
+        model.insert(1, b"a", b"va2");
+        store.flush().unwrap();
+        check(&store, &model);
+
+        // A lookup that refreshes a stamp.
+        assert_eq!(store.lookup(2, b"b"), Some(b"vb".to_vec()));
+        model.touch(2, b"b");
+        store.flush().unwrap();
+        check(&store, &model);
+
+        // A discarded record.
+        store.discard_corrupt(1, b"z");
+        model.records.remove(&(1, b"z".to_vec()));
+        store.flush().unwrap();
+        check(&store, &model);
+        drop(store);
+
+        // An LRU eviction under a byte budget, on the reopened store.
+        let full = std::fs::metadata(&path).unwrap().len();
+        let store = DiskStore::open(&path, 5).unwrap().with_byte_budget(full);
+        store.insert(4, b"new".to_vec(), b"vn".to_vec());
+        model.insert(4, b"new", b"vn");
+        let flushed = store.flush().unwrap();
+        assert!(flushed.evicted > 0);
+        assert_eq!(flushed.evicted, model.evict(full));
+        assert_eq!(flushed.records, model.records.len());
+        assert_eq!(flushed.bytes, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(store.stats().evicted, flushed.evicted as u64);
+        check(&store, &model);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

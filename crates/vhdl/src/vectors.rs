@@ -32,7 +32,7 @@
 //! entity.
 
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use isl_fpga::FixedFormat;
 use isl_ir::Window;
@@ -87,25 +87,41 @@ impl Error for VectorError {}
 impl VectorFile {
     /// Render the file in the text exchange format (see module docs).
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# isl golden vectors v1\n");
-        out.push_str(&format!("entity {}\n", self.entity));
-        out.push_str(&format!("format {} {}\n", self.format.width, self.format.frac));
-        out.push_str(&format!("window {} {}\n", self.window.w, self.window.h));
-        out.push_str(&format!("depth {}\n", self.depth));
-        out.push_str(&format!("in {}\n", self.ports_in.join(" ")));
-        out.push_str(&format!("out {}\n", self.ports_out.join(" ")));
+        let words: usize = self
+            .records
+            .iter()
+            .map(|r| r.stimulus.len() + r.response.len())
+            .sum();
+        let ports: usize = self
+            .ports_in
+            .iter()
+            .chain(&self.ports_out)
+            .map(|p| p.len() + 1)
+            .sum();
+        // Room for the headers, ~24 bytes of record head each and ~7 per
+        // word (sign, digits, separator): one allocation in the common case.
+        let mut out = String::with_capacity(128 + ports + 24 * self.records.len() + 7 * words);
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "# isl golden vectors v1\nentity {}\nformat {} {}\nwindow {} {}\ndepth {}\nin ",
+            self.entity,
+            self.format.width,
+            self.format.frac,
+            self.window.w,
+            self.window.h,
+            self.depth
+        );
+        push_joined(&mut out, &self.ports_in);
+        out.push_str("\nout ");
+        push_joined(&mut out, &self.ports_out);
+        out.push('\n');
         for r in &self.records {
-            let stim: Vec<String> = r.stimulus.iter().map(i64::to_string).collect();
-            let resp: Vec<String> = r.response.iter().map(i64::to_string).collect();
-            out.push_str(&format!(
-                "vec {} {} {} | {} | {}\n",
-                r.level,
-                r.tile.0,
-                r.tile.1,
-                stim.join(" "),
-                resp.join(" ")
-            ));
+            let _ = write!(out, "vec {} {} {} | ", r.level, r.tile.0, r.tile.1);
+            push_joined(&mut out, &r.stimulus);
+            out.push_str(" | ");
+            push_joined(&mut out, &r.response);
+            out.push('\n');
         }
         out
     }
@@ -260,6 +276,16 @@ impl VectorFile {
     /// The column index of output port `name`, if present.
     pub fn output_column(&self, name: &str) -> Option<usize> {
         self.ports_out.iter().position(|p| p == name)
+    }
+}
+
+/// Append `items` to `out`, separated by single spaces.
+fn push_joined<T: fmt::Display>(out: &mut String, items: &[T]) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        let _ = write!(out, "{item}");
     }
 }
 

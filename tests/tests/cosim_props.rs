@@ -197,6 +197,34 @@ fn golden_vector_roundtrip_two_algorithms() {
     }
 }
 
+/// The golden-vector text is pinned: an FNV-1a digest of the vector text
+/// both case studies certify at w4×4 d2 on 24×18 frames. A change to
+/// `VectorFile::to_text` or to the recorded firings that moves one byte of
+/// that text fails here.
+#[test]
+fn vector_text_is_pinned_for_both_case_studies() {
+    const PINNED: [u64; 2] = [0xc7cb_12d9_56b4_2b9e, 0x1b55_7926_e438_3bb8];
+    let algos = [
+        isl_hls::algorithms::gaussian_igf(),
+        isl_hls::algorithms::chambolle(),
+    ];
+    for (algo, pinned) in algos.iter().zip(PINNED) {
+        let session = IslSession::from_algorithm(algo).expect("builtin compiles");
+        let init = frames_for(session.pattern(), 24, 18, 0x5EED);
+        let certified = session
+            .certify(&init, Architecture::new(Window::square(4), 2, 1))
+            .expect("certifies");
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for file in &certified.certificate().vector_files {
+            for b in file.to_text().bytes() {
+                digest ^= u64::from(b);
+                digest = digest.wrapping_mul(0x1_0000_0000_01b3);
+            }
+        }
+        assert_eq!(digest, pinned, "{}: vector text digest {digest:#018x}", algo.name);
+    }
+}
+
 /// The co-simulator's integer run and the simulator's quantised run are the
 /// *same* hardware, twice: since the quantised engines moved into the raw
 /// word domain, both sides execute the identical saturating/truncating

@@ -49,7 +49,7 @@ fn disk_served_artifacts_equal_cold_recompute() {
         let stats = reader.store_stats();
         assert!(stats.disk_hits > 0, "certificate must come from disk");
         assert_eq!(stats.certificates.misses, 0, "disk hit must not count as a build");
-        assert_eq!(stats.vectors.misses, 0, "vectors ride inside the certificate");
+        assert_eq!(stats.vectors.misses, 0, "vectors come from their own record");
         assert_eq!(stats.load_skipped_corrupt, 0);
 
         // Cold recompute in a memory-only session: bit-identical.
@@ -130,9 +130,9 @@ fn restart_replays_full_pipeline_warm() {
 }
 
 /// A certificate at the widest raw word, 64 bits, survives a reopen: its
-/// golden vectors are stored as vector-file text, which a fresh session on
-/// the same store file must parse back rather than skip, so the second
-/// certify builds nothing.
+/// golden vectors, words up to ten varint bytes each, are a vector record
+/// a fresh session on the same store file must decode rather than skip,
+/// so the second certify builds nothing.
 #[test]
 fn wide_format_certificate_survives_reopen() {
     let algo = isl_hls::algorithms::gaussian_igf();
